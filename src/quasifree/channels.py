@@ -22,29 +22,38 @@ consistent; the dense oracle tests pin it down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotCompletelyPositive, SingularPivot
-from .symbols import Symbol, validate_symbol
+from .symbols import Symbol, _trusted_symbol, validate_symbol
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
 
 PIVOT_COND_MAX = 1e12
 CP_TOL = 1e-10
+#: tolerance of the range test on Schrodinger images
+SCHRODINGER_TOL = 1e-8
 #: relative singular-value threshold for the rank test in classify_affine_map
 RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class QuasiFreeChannel:
-    """A validated quasi-free channel; construct through :func:`new_channel`."""
+    """A validated quasi-free channel; construct through :func:`new_channel`.
+
+    ``_trusted`` is set only by :func:`new_channel`, after it proved the CP
+    inequality at a tolerance no looser than ``CP_TOL``; the symbols such a
+    channel produces are symbols by theorem.  A channel built by hand keeps
+    ``_trusted`` false, and its outputs are validated.
+    """
 
     kind: str
     A: np.ndarray
     B: np.ndarray
+    _trusted: bool = field(default=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -84,6 +93,38 @@ def _min_eig(H: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((H + H.conj().T) / 2.0)[0])
 
 
+def _certified_psd(H: np.ndarray, tol: float) -> bool:
+    """True only when lambda_min(H) >= -tol holds exactly; False means "not
+    certified", and the caller's eigenvalue test decides.
+
+    A Cholesky factorization that runs to completion on
+    H' = H + (tol/2) 1 proves H' + E >= 0 for a backward error with
+    |E| <= c |L||L*|, c = sqrt(2) gamma_{n+3} in complex arithmetic (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3 and sec. 3.6).
+    Hence ||E||_2 <= c || |L| ||_2^2 <= c min(||L||_F^2, ||L||_1 ||L||_inf),
+    and when that is at most tol/2, lambda_min(H) >= -tol/2 - ||E||_2 >= -tol.
+    For 0 <= H <= 1 the Frobenius form is at most sqrt(2) n (n+3) u, inside
+    tol/2 = 5e-11 up to d ~ 560 whatever H is; beyond that the certificate
+    holds when L is spread thinly enough (||L||_1 ||L||_inf small).
+    """
+    n = H.shape[0]
+    if n == 0:
+        return False
+    half = tol / 2.0
+    try:
+        L = np.linalg.cholesky((H + H.conj().T) / 2.0 + half * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    u = np.finfo(float).eps / 2.0
+    c = np.sqrt(2.0) * (n + 3) * u / (1.0 - (n + 3) * u)
+    absL = np.abs(L)
+    spread = min(
+        float(np.vdot(absL, absL).real),
+        float(absL.sum(axis=0).max() * absL.sum(axis=1).max()),
+    )
+    return c * spread <= half
+
+
 def cp_bound(kind: str, A: np.ndarray) -> np.ndarray:
     """Upper bound matrix for B in the CP constraint of the given kind."""
     if kind == KIND_LAMBDA:
@@ -96,7 +137,10 @@ def new_channel(kind: str, A, B, tol: float = CP_TOL) -> QuasiFreeChannel:
 
     Checks B Hermitian and 0 <= B <= 1 - A*A (lambda) or
     0 <= B <= 1 - A^T conj(A) (gamma), reporting the violating eigenvalue on
-    failure.
+    failure.  Each inequality is first tried by a Cholesky certificate
+    (:func:`_certified_psd`), which accepts only what the eigenvalue test
+    accepts; everything else goes to the eigenvalue test, which decides and
+    words the error.
     """
     if kind not in (KIND_LAMBDA, KIND_GAMMA):
         raise ValueError(f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {kind!r}")
@@ -107,22 +151,33 @@ def new_channel(kind: str, A, B, tol: float = CP_TOL) -> QuasiFreeChannel:
             f"B must be Hermitian; max |B - B*| = {herm_dev:.3e}"
         )
     B = (B + B.conj().T) / 2.0
-    low = _min_eig(B)
-    if low < -tol:
-        raise NotCompletelyPositive(f"B has eigenvalue {low:.6e} < 0")
-    high = _min_eig(cp_bound(kind, A) - B)
-    if high < -tol:
-        raise NotCompletelyPositive(
-            f"upper CP constraint violated by eigenvalue {high:.6e}"
-        )
+    if not _certified_psd(B, tol):
+        low = _min_eig(B)
+        if low < -tol:
+            raise NotCompletelyPositive(f"B has eigenvalue {low:.6e} < 0")
+    upper = cp_bound(kind, A) - B
+    if not _certified_psd(upper, tol):
+        high = _min_eig(upper)
+        if high < -tol:
+            raise NotCompletelyPositive(
+                f"upper CP constraint violated by eigenvalue {high:.6e}"
+            )
     A = A.copy()  # freeze private copies, never the caller's arrays
     for m in (A, B):
         m.setflags(write=False)
-    return QuasiFreeChannel(kind=kind, A=A, B=B)
+    return QuasiFreeChannel(kind=kind, A=A, B=B, _trusted=tol <= CP_TOL)
 
 
 def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
-    """Image symbol of the state evolution, re-validated as a Symbol."""
+    """Image symbol of the state evolution.
+
+    For a channel made by :func:`new_channel` the image is a symbol by
+    theorem: 0 <= Q <= 1 gives B <= A*QA + B <= A*A + B <= 1 (lambda; the
+    gamma image is the lambda image of the symbol 1 - Q^T with conj(A)), so
+    it is returned without an eigendecomposition and range-checked at
+    ``SCHRODINGER_TOL`` when its spectrum is first read.  The image under a
+    hand-built channel is validated as a Symbol at that tolerance.
+    """
     if channel.dim != Q.dim:
         raise DimensionMismatch(f"channel dim {channel.dim} vs symbol dim {Q.dim}")
     A, B = channel.A, channel.B
@@ -131,16 +186,46 @@ def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
     else:
         eye = np.eye(channel.dim)
         M = B + A.T @ (eye - Q.matrix.T) @ np.conj(A)
-    return validate_symbol(M, tol=1e-8)
+    if channel._trusted:
+        return _trusted_symbol((M + M.conj().T) / 2.0, tol=SCHRODINGER_TOL)
+    return validate_symbol(M, tol=SCHRODINGER_TOL)
 
 
-def _checked_pivot(P: np.ndarray) -> np.ndarray:
-    if np.linalg.cond(P) >= PIVOT_COND_MAX:
-        raise SingularPivot(
-            f"pivot condition number {np.linalg.cond(P):.3e} >= {PIVOT_COND_MAX:.1e}; "
+def checked_inverse(P: np.ndarray, cond_max: float, singular) -> np.ndarray:
+    """P^-1, or ``singular(cond)`` raised when cond_2(P) >= cond_max.
+
+    One LU-based inverse screens the condition number: cond_2 <= d cond_1,
+    so d ||P||_1 ||P^-1||_1 < cond_max / 2 accepts (the factor 2 absorbs the
+    rounding of the computed inverse, whose relative error is about
+    d u cond_1 << 1 below the limit).  Anything else, including a
+    LinAlgError from the inverse, goes to np.linalg.cond, which decides.
+    """
+    try:
+        Pinv = np.linalg.inv(P)
+    except np.linalg.LinAlgError:
+        Pinv = None
+    else:
+        d = P.shape[0]
+        if d * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0:
+            return Pinv
+    cond = np.linalg.cond(P)
+    if cond >= cond_max:
+        raise singular(cond)
+    # an LU breakdown below the limit re-raises its LinAlgError here, as the
+    # solve did before; the error is not kept across the cond call, where
+    # its traceback would pin the caller's frames
+    return np.linalg.inv(P) if Pinv is None else Pinv
+
+
+def _pivot_inverse(P: np.ndarray) -> np.ndarray:
+    return checked_inverse(
+        P,
+        PIVOT_COND_MAX,
+        lambda cond: SingularPivot(
+            f"pivot condition number {cond:.3e} >= {PIVOT_COND_MAX:.1e}; "
             "the closed form does not apply"
-        )
-    return P
+        ),
+    )
 
 
 def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:
@@ -151,12 +236,13 @@ def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:
     A, B = channel.A, channel.B
     eye = np.eye(channel.dim)
     if channel.kind == KIND_LAMBDA:
-        pivot = _checked_pivot(eye - B + X @ B)
-        argument = eye + A @ np.linalg.solve(pivot, (X - eye)) @ A.conj().T
+        pivot = eye - B + X @ B
+        rhs = X - eye
     else:
         M = B.T + A.conj().T @ A
-        pivot = _checked_pivot(eye - M + X.T @ M)
-        argument = eye + A @ np.linalg.solve(pivot, (eye - X.T)) @ A.conj().T
+        pivot = eye - M + X.T @ M
+        rhs = eye - X.T
+    argument = eye + A @ (_pivot_inverse(pivot) @ rhs) @ A.conj().T
     return ScaledExponential(scale=complex(np.linalg.det(pivot)), argument=argument)
 
 
@@ -173,14 +259,14 @@ def apply_heisenberg_state(channel: QuasiFreeChannel, Q: Symbol) -> ScaledExpone
     eye = np.eye(channel.dim)
     Qm = Q.matrix
     if channel.kind == KIND_LAMBDA:
-        pivot = _checked_pivot(eye - Qm + (2.0 * Qm - eye) @ B)
+        pivot = eye - Qm + (2.0 * Qm - eye) @ B
         core = 2.0 * Qm - eye
     else:
         M = B.T + A.conj().T @ A
         Qt = Qm.T
-        pivot = _checked_pivot(eye - Qt + (2.0 * Qt - eye) @ M)
+        pivot = eye - Qt + (2.0 * Qt - eye) @ M
         core = eye - 2.0 * Qt
-    argument = eye + A @ np.linalg.solve(pivot, core) @ A.conj().T
+    argument = eye + A @ (_pivot_inverse(pivot) @ core) @ A.conj().T
     return ScaledExponential(scale=complex(np.linalg.det(pivot)), argument=argument)
 
 

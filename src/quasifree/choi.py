@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KIND_GAMMA, KIND_LAMBDA, QuasiFreeChannel
+from .channels import KIND_GAMMA, KIND_LAMBDA, QuasiFreeChannel, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -38,7 +38,7 @@ from .fock import (
     particle_hole_unitary,
     split_isomorphism,
 )
-from .symbols import Symbol, validate_symbol
+from .symbols import Symbol, _trusted_symbol, validate_symbol
 
 DENSE_CHOI_CAP = 6
 B_COND_MAX = 1e12
@@ -69,17 +69,28 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     lambda kind:  1/2 [[1, A], [A*, A*A + 2B]]
     gamma kind:   1/2 [[1, -A], [-A*, A*A + 2B^T]]
 
-    Validation as a Symbol is exactly the complete-positivity test of the
-    source channel, so it cannot fail for a validated channel.
+    J = 1/2 [1; A*][1, A] + diag(0, B) and
+    1 - J = 1/2 [1; -A*][1, -A] + diag(0, 1 - A*A - B), so 0 <= J <= 1 is
+    exactly the complete-positivity test 0 <= B <= 1 - A*A of the source
+    channel (gamma: the same with -A and B^T).  For a channel made by
+    :func:`new_channel` it is therefore not repeated; the spectrum is
+    range-checked when first read.  A hand-built channel's J is validated as
+    a Symbol, which raises when the channel is not CP.
     """
     A, B = channel.A, channel.B
-    eye = np.eye(channel.dim)
+    d = channel.dim
+    sign = 1.0 if channel.kind == KIND_LAMBDA else -1.0
+    J = np.empty((2 * d, 2 * d), dtype=complex)
+    J[:d, :d] = 0.5 * np.eye(d)
+    J[:d, d:] = (0.5 * sign) * A
+    J[d:, :d] = (0.5 * sign) * A.conj().T
     gram = A.conj().T @ A
-    if channel.kind == KIND_LAMBDA:
-        blocks = [[eye, A], [A.conj().T, gram + 2.0 * B]]
+    J[d:, d:] = 0.25 * (gram + gram.conj().T)  # A*A / 2, exactly Hermitian
+    J[d:, d:] += B if channel.kind == KIND_LAMBDA else B.T
+    if channel._trusted:
+        sym = _trusted_symbol(J)
     else:
-        blocks = [[eye, -A], [-A.conj().T, gram + 2.0 * B.T]]
-    sym = validate_symbol(0.5 * np.block(blocks))
+        sym = validate_symbol(J)
     return JamiolkowskiSymbol(symbol=sym, source=channel)
 
 
@@ -88,24 +99,27 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
 
     lambda kind argument: [[B^-1 - 1, B^-1 A*], [A B^-1, 1 + A B^-1 A*]];
     the gamma kind substitutes conj(A) for A.  Raises :class:`SingularB`
-    otherwise; callers may fall back to :func:`dense_choi` at small d.
+    when cond(B) >= ``B_COND_MAX``; callers may fall back to
+    :func:`dense_choi` at small d.
     """
     A, B = channel.A, channel.B
-    eye = np.eye(channel.dim)
-    if np.linalg.cond(B) >= B_COND_MAX:
-        raise SingularB(
+    d = channel.dim
+    Binv = checked_inverse(
+        B,
+        B_COND_MAX,
+        lambda cond: SingularB(
             "B is numerically singular; the exponential Choi form does not apply"
-        )
+        ),
+    )
     if channel.kind == KIND_GAMMA:
         A = np.conj(A)
-    Binv = np.linalg.inv(B)
     Binv = (Binv + Binv.conj().T) / 2.0
-    argument = np.block(
-        [
-            [Binv - eye, Binv @ A.conj().T],
-            [A @ Binv, eye + A @ Binv @ A.conj().T],
-        ]
-    )
+    AB = A @ Binv
+    argument = np.empty((2 * d, 2 * d), dtype=complex)
+    argument[:d, :d] = Binv - np.eye(d)
+    argument[:d, d:] = AB.conj().T  # B^-1 A*, as B^-1 is Hermitian
+    argument[d:, :d] = AB
+    argument[d:, d:] = AB @ A.conj().T + np.eye(d)
     scale = np.linalg.det(B)
     return ChoiExponentialForm(scale=float(scale.real), argument=argument)
 

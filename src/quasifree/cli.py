@@ -7,7 +7,8 @@ Matrices travel as JSON documents with explicit [re, im] entry pairs:
 and channels as {"kind": "lambda"|"gamma", "A": <matrix>, "B": <matrix>}.
 
 Exit codes: 0 success, 1 failed oracle-check invariant, 2 parse error,
-3 invalid symbol/channel or inapplicable closed form, 4 invalid flag value,
+3 invalid symbol/channel, inapplicable closed form or a linear-algebra
+failure (e.g. an eigensolver that does not converge), 4 invalid flag value,
 5 complete-positivity violation.
 """
 
@@ -60,7 +61,10 @@ def parse_matrix_document(doc) -> np.ndarray:
     for idx, entry in enumerate(data):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"entry {idx} is not a [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"entry {idx} is not a pair of numbers: {exc}") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ParseError(f"entry {idx} is not finite")
         out[idx] = complex(re, im)
@@ -312,6 +316,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_FLAG
     except QuasifreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, KernelConditionViolated
-from .symbols import Symbol
+from .symbols import Symbol, eigenbasis
 
 #: eigenvalues of Q2 at most this count as kernel components
 KERNEL_TOL = 1e-10
@@ -71,26 +71,24 @@ def relative_entropy(Q1: Symbol, Q2: Symbol) -> float:
     """
     if Q1.dim != Q2.dim:
         raise DimensionMismatch(f"symbol dims differ: {Q1.dim} vs {Q2.dim}")
-    w2, V2 = np.linalg.eigh(Q2.matrix)
-    w2 = np.clip(w2, 0.0, 1.0)
-    M1 = Q1.matrix
-    eye = np.eye(Q1.dim)
+    w2, V2 = eigenbasis(Q2)
+    M1V2 = Q1.matrix @ V2
 
-    # diagonal of Q1 and 1-Q1 in the eigenbasis of Q2
-    diag_q1 = np.einsum("ij,jk,ki->i", V2.conj().T, M1, V2).real
-    diag_c1 = np.einsum("ij,jk,ki->i", V2.conj().T, eye - M1, V2).real
+    # diagonal of Q1 and 1-Q1 in the eigenbasis of Q2 (V2 is unitary)
+    diag_q1 = np.einsum("ij,ij->j", V2.conj(), M1V2).real
+    diag_c1 = 1.0 - diag_q1
 
     lower = w2 <= KERNEL_TOL
     upper = 1.0 - w2 <= KERNEL_TOL
     if np.any(lower):
-        overlap = np.linalg.norm(M1 @ V2[:, lower], axis=0)
+        overlap = np.linalg.norm(M1V2[:, lower], axis=0)
         if overlap.max() > KERNEL_INCLUSION_TOL:
             raise KernelConditionViolated(
                 f"ker Q2 not contained in ker Q1 (||Q1 v|| = {overlap.max():.3e}); "
                 "relative entropy is infinite"
             )
     if np.any(upper):
-        overlap = np.linalg.norm((eye - M1) @ V2[:, upper], axis=0)
+        overlap = np.linalg.norm(V2[:, upper] - M1V2[:, upper], axis=0)
         if overlap.max() > KERNEL_INCLUSION_TOL:
             raise KernelConditionViolated(
                 f"ker(1-Q2) not contained in ker(1-Q1) "

@@ -7,7 +7,7 @@ the state computed in this package reduces to a functional of Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,19 +26,32 @@ MIX_RANK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Symbol:
-    """A validated one-particle symbol.
+    """A one-particle symbol: ``matrix`` is exactly Hermitian and read-only.
 
-    ``matrix`` is exactly Hermitian; ``eigenvalues`` are stored descending and
-    clamped to [0, 1].  Construct through :func:`validate_symbol`, which is
-    where the tolerance policy lives.
+    ``eigenvalues`` (descending, clamped to [0, 1]) are computed on first read
+    and cached.  :func:`validate_symbol`, the only entry point for untrusted
+    matrices, reads them at once, because its range test needs them.  Producers
+    whose output is a symbol by theorem (channel images, Jamiolkowski blocks,
+    convex mixtures) skip that eigendecomposition; their range test runs, at
+    the producer's tolerance, when the spectrum is first read.
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
+    _tol: float = field(default=HERMITIAN_TOL, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        w = self._cache.get("eigenvalues")
+        if w is None:
+            w = _checked_spectrum(np.linalg.eigvalsh(self.matrix), self._tol)
+            w = _frozen(np.clip(w, 0.0, 1.0)[::-1].copy())
+            self._cache["eigenvalues"] = w
+        return w
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_spectrum(w: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending eigenvalues ``w``, or :class:`SpectrumOutOfRange` when they
+    leave [0, 1] by more than ``tol``."""
+    if w.size and (w[0] < -tol or w[-1] > 1.0 + tol):
+        raise SpectrumOutOfRange(
+            f"eigenvalues in [{w[0]:.6e}, {w[-1]:.6e}] leave [0, 1] beyond tol {tol:.1e}"
+        )
+    return w
+
+
 def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     """Check that M is a symbol and return it with eigenvalues clamped to [0, 1].
 
@@ -76,11 +99,7 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     if herm_dev > tol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     H = (M + M.conj().T) / 2.0
-    w = np.linalg.eigvalsh(H)
-    if w[0] < -tol or w[-1] > 1.0 + tol:
-        raise SpectrumOutOfRange(
-            f"eigenvalues in [{w[0]:.6e}, {w[-1]:.6e}] leave [0, 1] beyond tol {tol:.1e}"
-        )
+    w = _checked_spectrum(np.linalg.eigvalsh(H), tol)
     if w[0] < 0.0 or w[-1] > 1.0:
         # clamp requires eigenvectors; taken only when the spectrum actually
         # pokes out of [0, 1], so the common path stays at eigvalsh cost
@@ -88,15 +107,44 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
         w = np.clip(w, 0.0, 1.0)
         H = (V * w) @ V.conj().T
         H = (H + H.conj().T) / 2.0
-    return Symbol(matrix=_frozen(H), eigenvalues=_frozen(w[::-1].copy()))
+    return Symbol(matrix=_frozen(H), _cache={"eigenvalues": _frozen(w[::-1].copy())})
+
+
+def _trusted_symbol(H: np.ndarray, tol: float = HERMITIAN_TOL) -> Symbol:
+    """Symbol of an exactly Hermitian matrix that lies in [0, 1] by theorem,
+    without an eigendecomposition; the range test runs at ``tol`` when the
+    spectrum is first read.  Never use it for a matrix that comes from
+    outside: that is :func:`validate_symbol`'s job."""
+    return Symbol(matrix=_frozen(H), _tol=tol)
 
 
 def spectral(Q: Symbol) -> SpectralSymbol:
-    """Eigendecomposition of a symbol with eigenvalues sorted descending."""
+    """Eigendecomposition of a symbol with eigenvalues sorted descending.
+
+    Computed once per symbol and cached on it; this is the only place that
+    keeps eigenvectors alive."""
+    s = Q._cache.get("spectral")
+    if s is None:
+        w, V = np.linalg.eigh(Q.matrix)
+        if "eigenvalues" not in Q._cache:
+            _checked_spectrum(w, Q._tol)
+        order = np.argsort(-w, kind="stable")
+        w = np.clip(w[order], 0.0, 1.0)
+        s = SpectralSymbol(eigenvalues=_frozen(w), eigenvectors=_frozen(V[:, order]))
+        Q._cache.setdefault("eigenvalues", s.eigenvalues)
+        Q._cache["spectral"] = s
+    return s
+
+
+def eigenbasis(Q: Symbol) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (clamped to [0, 1], in no particular order) and matching
+    eigenvector columns of Q.  Reuses the decomposition :func:`spectral`
+    cached; otherwise computes one that the caller does not keep."""
+    s = Q._cache.get("spectral")
+    if s is not None:
+        return s.eigenvalues, s.eigenvectors
     w, V = np.linalg.eigh(Q.matrix)
-    order = np.argsort(-w, kind="stable")
-    w = np.clip(w[order], 0.0, 1.0)
-    return SpectralSymbol(eigenvalues=_frozen(w), eigenvectors=_frozen(V[:, order]))
+    return np.clip(w, 0.0, 1.0), V
 
 
 def conjugate_matrix(A) -> np.ndarray:
@@ -115,6 +163,10 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
     exactly when ``Q1 - Q2`` has rank 0 or 1, in which case its symbol is the
     affine combination ``lam*Q1 + (1-lam)*Q2``.  Otherwise raises
     :class:`NotQuasiFreeMixture`.
+
+    A convex combination of two matrices in [0, 1] lies in [0, 1], and of two
+    exactly Hermitian matrices is exactly Hermitian, so the result is not
+    re-validated.
     """
     if Q1.dim != Q2.dim:
         raise DimensionMismatch(f"symbol dims differ: {Q1.dim} vs {Q2.dim}")
@@ -130,4 +182,4 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
                 f"symbol difference has numerical rank {rank}; "
                 "the convex combination of the two states is not quasi-free"
             )
-    return validate_symbol(lam * Q1.matrix + (1.0 - lam) * Q2.matrix)
+    return _trusted_symbol(lam * Q1.matrix + (1.0 - lam) * Q2.matrix)

@@ -1,7 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the worst observed deviation so the run doubles as a report."""
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,6 @@ from quasifree import (
     exp_spectrum,
     jamiolkowski_symbol,
     mix_symbols,
-    new_channel,
     partial_trace,
     relative_entropy,
     renyi_entropy,
@@ -263,28 +267,52 @@ def test_criterion_6_mixtures():
     assert errors == 50
 
 
-def test_criterion_7_performance():
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        pytest.skip("threadpoolctl unavailable; cannot pin the single-thread claim")
-    rng = np.random.default_rng(SEED + 6)
-    d = 2000
-    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    H = (M + M.conj().T) / 2.0
-    H *= 0.4 / float(np.abs(H).sum(axis=1).max())
-    Q = validate_symbol(0.5 * np.eye(d) + H)
-    A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(8.0 * d)
-    channel = new_channel("lambda", A, 0.5 * (np.eye(d) - A.conj().T @ A))
+# The timed body of criterion 7 runs in a fresh interpreter whose environment
+# pins BLAS to one thread before numpy is imported.
+CRITERION_7_CHILD = """
+import json
+import time
 
-    with threadpool_limits(limits=1):
-        von_neumann_entropy(validate_symbol(0.5 * np.eye(8)))  # warm the BLAS path
-        t0 = time.perf_counter()
-        von_neumann_entropy(Q)
-        t_entropy = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        apply_schrodinger(channel, Q)
-        t_evolve = time.perf_counter() - t0
+import numpy as np
+
+from quasifree import apply_schrodinger, new_channel, validate_symbol, von_neumann_entropy
+
+rng = np.random.default_rng({seed})
+d = 2000
+M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+H = (M + M.conj().T) / 2.0
+H *= 0.4 / float(np.abs(H).sum(axis=1).max())
+Q = validate_symbol(0.5 * np.eye(d) + H)
+A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(8.0 * d)
+channel = new_channel("lambda", A, 0.5 * (np.eye(d) - A.conj().T @ A))
+
+von_neumann_entropy(validate_symbol(0.5 * np.eye(8)))  # warm the BLAS path
+t0 = time.perf_counter()
+von_neumann_entropy(Q)
+t_entropy = time.perf_counter() - t0
+t0 = time.perf_counter()
+apply_schrodinger(channel, Q)
+t_evolve = time.perf_counter() - t0
+print(json.dumps({{"entropy": t_entropy, "evolve": t_evolve}}))
+"""
+
+
+def test_criterion_7_performance():
+    import quasifree
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(quasifree.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CRITERION_7_CHILD.format(seed=SEED + 6)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    times = json.loads(proc.stdout.strip().splitlines()[-1])
+    t_entropy, t_evolve = times["entropy"], times["evolve"]
 
     with pytest.raises(DimensionCap):
         exp_element(np.eye(15))

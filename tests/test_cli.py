@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from quasifree.cli import format_matrix_document, main, parse_matrix_document
+from quasifree.cli import ParseError, format_matrix_document, main, parse_matrix_document
 
 
 def write_matrix(path, M):
@@ -61,6 +62,28 @@ def test_relent(tmp_path, capsys):
     zero = write_matrix(tmp_path / "z.json", np.array([[0.0]]))
     assert main(["relent", a, zero]) == 3
     capsys.readouterr()
+
+
+def test_non_numeric_entries_are_parse_errors(tmp_path, capsys):
+    for bad in (["a", 0], [None, 0]):
+        doc = {"rows": 1, "cols": 1, "data": [bad]}
+        with pytest.raises(ParseError):
+            parse_matrix_document(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["entropy", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: entry 0 is not a pair of numbers")
+
+
+def test_linalg_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    path = write_matrix(tmp_path / "q.json", np.diag([0.25, 0.5]))
+    assert main(["entropy", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "did not converge" in err
 
 
 def test_evolve_identity(tmp_path, capsys):
