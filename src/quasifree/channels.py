@@ -2,22 +2,23 @@
 
 Two families, both parameterized by a pair (A, B) of one-particle matrices:
 
-* ``lambda`` kind, valid iff 0 <= B <= 1 - A*A, acting on symbols as
-  Q -> A* Q A + B;
-* ``gamma`` kind (the particle-hole-twisted family), valid iff
-  0 <= B <= 1 - A^T conj(A), acting as Q -> B + A^T (1 - Q^T) conj(A).
+* ``lambda`` kind, valid iff 0 <= B <= 1 - A*A: lambda(A, B)(Q) = A* Q A + B;
+* ``gamma`` kind, the lambda kind twisted by particle-hole, theta(Q) = 1 - Q^T:
+  gamma(A, B) = lambda(conj A, B) . theta = theta . lambda(A, 1 - B^T - A*A),
+  valid iff 0 <= B <= 1 - A^T conj(A).
+
+Every closed form below is written once, for lambda(At, B) . theta^twisted:
+:func:`_as_lambda` reads a channel that way (At = conj A for gamma) and
+:func:`_twist_past` moves theta past a lambda map.  This reading makes the
+Schrodinger action, the Heisenberg closed forms and the trace duality
+tr(channel(rho) x) = tr(rho channel*(x)) mutually consistent; the dense
+oracle, which routes gamma through the particle-hole unitary on its own,
+pins it down.
 
 The Heisenberg actions on exponential elements and on quasi-free density
 matrices have closed forms (scale, argument) that never touch the 2^d-dim
-Fock space; densifying a :class:`ScaledExponential` is always an explicit
+Fock space; densifying a :class:`ScaledExponential` is an explicit
 oracle-side call.
-
-Convention note: the gamma family equals the lambda family with conjugated A,
-pre-composed with the particle-hole involution Q -> 1 - Q^T.  All gamma
-formulas below are derived from that identity, which is the unique reading
-under which the Schrodinger action, the Heisenberg closed forms, and the
-trace duality tr(channel(rho) x) = tr(rho channel*(x)) are mutually
-consistent; the dense oracle tests pin it down.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCompletelyPositive, SingularPivot
+from .errors import DimensionMismatch, InvalidArgument, NotCompletelyPositive, SingularPivot
 from .symbols import Symbol, _trusted_symbol, validate_symbol
 
 KIND_LAMBDA = "lambda"
@@ -125,25 +126,35 @@ def _certified_psd(H: np.ndarray, tol: float) -> bool:
     return c * spread <= half
 
 
+def _as_lambda(channel: QuasiFreeChannel):
+    """(At, B, twisted) with channel = lambda(At, B) . theta^twisted."""
+    twisted = channel.kind == KIND_GAMMA
+    return (np.conj(channel.A) if twisted else channel.A), channel.B, twisted
+
+
+def _twist_past(At: np.ndarray, B: np.ndarray):
+    """The pair of theta . lambda(At, B) = lambda(conj At, 1 - B^T - At^T conj At) . theta"""
+    Ac = np.conj(At)
+    return Ac, np.eye(At.shape[0]) - B.T - At.T @ Ac
+
+
 def cp_bound(kind: str, A: np.ndarray) -> np.ndarray:
-    """Upper bound matrix for B in the CP constraint of the given kind."""
-    if kind == KIND_LAMBDA:
-        return np.eye(A.shape[0]) - A.conj().T @ A
-    return np.eye(A.shape[0]) - A.T @ np.conj(A)
+    """Upper bound 1 - At*At on B in the CP constraint of the given kind."""
+    At, _, _ = _as_lambda(QuasiFreeChannel(kind, A, B=None))
+    return np.eye(At.shape[0]) - At.conj().T @ At
 
 
 def new_channel(kind: str, A, B, tol: float = CP_TOL) -> QuasiFreeChannel:
     """Validate (kind, A, B) as a quasi-free channel.
 
-    Checks B Hermitian and 0 <= B <= 1 - A*A (lambda) or
-    0 <= B <= 1 - A^T conj(A) (gamma), reporting the violating eigenvalue on
-    failure.  Each inequality is first tried by a Cholesky certificate
-    (:func:`_certified_psd`), which accepts only what the eigenvalue test
-    accepts; everything else goes to the eigenvalue test, which decides and
-    words the error.
+    Checks B Hermitian and 0 <= B <= :func:`cp_bound`, reporting the
+    violating eigenvalue on failure.  Each inequality is first tried by a
+    Cholesky certificate (:func:`_certified_psd`), which accepts only what the
+    eigenvalue test accepts; everything else goes to the eigenvalue test,
+    which decides and words the error.
     """
     if kind not in (KIND_LAMBDA, KIND_GAMMA):
-        raise ValueError(f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {kind!r}")
+        raise InvalidArgument(f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {kind!r}")
     A, B = _square_pair(A, B)
     herm_dev = np.abs(B - B.conj().T).max() if B.size else 0.0
     if herm_dev > tol:
@@ -171,21 +182,18 @@ def new_channel(kind: str, A, B, tol: float = CP_TOL) -> QuasiFreeChannel:
 def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
     """Image symbol of the state evolution.
 
-    For a channel made by :func:`new_channel` the image is a symbol by
-    theorem: 0 <= Q <= 1 gives B <= A*QA + B <= A*A + B <= 1 (lambda; the
-    gamma image is the lambda image of the symbol 1 - Q^T with conj(A)), so
+    The image is At* theta^twisted(Q) At + B.  For a channel made by
+    :func:`new_channel` it is a symbol by theorem: theta maps symbols to
+    symbols, and 0 <= Q <= 1 gives B <= At*QAt + B <= At*At + B <= 1, so
     it is returned without an eigendecomposition and range-checked at
     ``SCHRODINGER_TOL`` when its spectrum is first read.  The image under a
     hand-built channel is validated as a Symbol at that tolerance.
     """
     if channel.dim != Q.dim:
         raise DimensionMismatch(f"channel dim {channel.dim} vs symbol dim {Q.dim}")
-    A, B = channel.A, channel.B
-    if channel.kind == KIND_LAMBDA:
-        M = A.conj().T @ Q.matrix @ A + B
-    else:
-        eye = np.eye(channel.dim)
-        M = B + A.T @ (eye - Q.matrix.T) @ np.conj(A)
+    At, B, twisted = _as_lambda(channel)
+    Qm = np.eye(channel.dim) - Q.matrix.T if twisted else Q.matrix
+    M = At.conj().T @ Qm @ At + B
     if channel._trusted:
         return _trusted_symbol((M + M.conj().T) / 2.0, tol=SCHRODINGER_TOL)
     return validate_symbol(M, tol=SCHRODINGER_TOL)
@@ -228,26 +236,33 @@ def _pivot_inverse(P: np.ndarray) -> np.ndarray:
     )
 
 
-def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:
-    """Heisenberg image of an exponential element E(X), as (scale, argument)."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (channel.dim, channel.dim):
-        raise DimensionMismatch(f"X shape {X.shape} vs channel dim {channel.dim}")
-    A, B = channel.A, channel.B
-    eye = np.eye(channel.dim)
-    if channel.kind == KIND_LAMBDA:
-        pivot = eye - B + X @ B
-        rhs = X - eye
-    else:
-        M = B.T + A.conj().T @ A
-        pivot = eye - M + X.T @ M
-        rhs = eye - X.T
-    argument = eye + A @ (_pivot_inverse(pivot) @ rhs) @ A.conj().T
+def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> ScaledExponential:
+    """Heisenberg image of the operator that the pair (S, T) stands for:
+    scale det(pivot) and argument 1 + A pivot^-1 (T - S) A*, with
+    pivot = S + (T - S) B for lambda(A, B).  A twisted channel is
+    theta . lambda(A, 1 - B^T - A*A), and theta* maps (S, T) to (T^T, S^T)."""
+    A, B, twisted = _as_lambda(channel)
+    if twisted:
+        A, B = _twist_past(A, B)
+        S, T = T.T, S.T
+    D = T - S
+    pivot = S + D @ B
+    argument = np.eye(channel.dim) + A @ (_pivot_inverse(pivot) @ D) @ A.conj().T
     return ScaledExponential(scale=complex(np.linalg.det(pivot)), argument=argument)
 
 
+def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:
+    """Heisenberg image of an exponential element E(X), as (scale, argument);
+    the pair (S, T) = (1, X)."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (channel.dim, channel.dim):
+        raise DimensionMismatch(f"X shape {X.shape} vs channel dim {channel.dim}")
+    return _heisenberg(channel, np.eye(channel.dim), X)
+
+
 def apply_heisenberg_state(channel: QuasiFreeChannel, Q: Symbol) -> ScaledExponential:
-    """Heisenberg image of the quasi-free density matrix with symbol Q.
+    """Heisenberg image of the quasi-free density matrix with symbol Q; the
+    pair (S, T) = (1 - Q, Q).
 
     Well defined for every symbol, including projectors, as long as the pivot
     is invertible; agrees with ``det(1-Q) * apply_heisenberg_exp(c, Q/(1-Q))``
@@ -255,42 +270,25 @@ def apply_heisenberg_state(channel: QuasiFreeChannel, Q: Symbol) -> ScaledExpone
     """
     if channel.dim != Q.dim:
         raise DimensionMismatch(f"channel dim {channel.dim} vs symbol dim {Q.dim}")
-    A, B = channel.A, channel.B
-    eye = np.eye(channel.dim)
-    Qm = Q.matrix
-    if channel.kind == KIND_LAMBDA:
-        pivot = eye - Qm + (2.0 * Qm - eye) @ B
-        core = 2.0 * Qm - eye
-    else:
-        M = B.T + A.conj().T @ A
-        Qt = Qm.T
-        pivot = eye - Qt + (2.0 * Qt - eye) @ M
-        core = eye - 2.0 * Qt
-    argument = eye + A @ (_pivot_inverse(pivot) @ core) @ A.conj().T
-    return ScaledExponential(scale=complex(np.linalg.det(pivot)), argument=argument)
+    return _heisenberg(channel, np.eye(channel.dim) - Q.matrix, Q.matrix)
 
 
 def compose(c2: QuasiFreeChannel, c1: QuasiFreeChannel) -> QuasiFreeChannel:
     """The channel acting as c2 after c1, as a single validated channel.
 
-    Kinds compose like parities: lambda.lambda -> lambda,
-    gamma.lambda and lambda.gamma -> gamma, gamma.gamma -> lambda.  The (A, B)
-    pairs below come from composing the two affine symbol actions; the
-    two-step-versus-one-step identity is enforced by tests.
+    Twists compose like parities: theta is moved past lambda(A1, B1) when c2
+    is twisted, then lambda(A2, B2) . lambda(A1, B1) = lambda(A1 A2, A2* B1 A2 + B2).
     """
     if c1.dim != c2.dim:
         raise DimensionMismatch(f"channel dims differ: {c1.dim} vs {c2.dim}")
-    A1, B1, A2, B2 = c1.A, c1.B, c2.A, c2.B
-    eye = np.eye(c1.dim)
-    if c1.kind == KIND_LAMBDA and c2.kind == KIND_LAMBDA:
-        return new_channel(KIND_LAMBDA, A1 @ A2, A2.conj().T @ B1 @ A2 + B2)
-    if c1.kind == KIND_LAMBDA and c2.kind == KIND_GAMMA:
-        B = B2 + A2.T @ (eye - B1.T - A1.T @ np.conj(A1)) @ np.conj(A2)
-        return new_channel(KIND_GAMMA, A1 @ A2, B)
-    if c1.kind == KIND_GAMMA and c2.kind == KIND_LAMBDA:
-        return new_channel(KIND_GAMMA, A1 @ np.conj(A2), A2.conj().T @ B1 @ A2 + B2)
-    B = B2 + A2.T @ (eye - B1.T - A1.conj().T @ A1) @ np.conj(A2)
-    return new_channel(KIND_LAMBDA, A1 @ np.conj(A2), B)
+    A1, B1, t1 = _as_lambda(c1)
+    A2, B2, t2 = _as_lambda(c2)
+    if t2:
+        A1, B1 = _twist_past(A1, B1)
+    A, B = A1 @ A2, A2.conj().T @ B1 @ A2 + B2
+    if t1 != t2:
+        return new_channel(KIND_GAMMA, np.conj(A), B)
+    return new_channel(KIND_LAMBDA, A, B)
 
 
 def _numerical_rank(A: np.ndarray) -> int:
@@ -315,7 +313,7 @@ def classify_affine_map(m: AffineSymbolMap, tol: float = CP_TOL) -> str:
     """
     A, B = _square_pair(m.A, m.B)
     if m.sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {m.sign}")
+        raise InvalidArgument(f"sign must be +1 or -1, got {m.sign}")
     if B.size and np.abs(B - B.conj().T).max() > tol:
         return "NotCP"
     canonical = (m.sign == 1) != bool(m.transpose_input)

@@ -38,18 +38,18 @@ class CheckResult:
         return self.max_dev <= self.tol
 
 
-def _dense_entropy(rho: np.ndarray) -> float:
+def dense_von_neumann(rho: np.ndarray) -> float:
     w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 
 
-def _dense_renyi(rho: np.ndarray, p: float) -> float:
+def dense_renyi(rho: np.ndarray, p: float) -> float:
     w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     return float(np.log(np.sum(w**p)) / (1.0 - p))
 
 
-def _dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
+def dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
     w1, V1 = np.linalg.eigh(r1)
     w2, V2 = np.linalg.eigh(r2)
     log1 = (V1 * np.log(np.clip(w1, 1e-300, None))) @ V1.conj().T
@@ -108,10 +108,10 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
         Q = random_symbol(d, rng, 0.05, 0.95)
         rho = density_matrix(Q)
         for p in (0.5, 2.0, 3.0):
-            dev_renyi = max(dev_renyi, abs(renyi_entropy(Q, p) - _dense_renyi(rho, p)))
-        dev_vn = max(dev_vn, abs(von_neumann_entropy(Q) - _dense_entropy(rho)))
+            dev_renyi = max(dev_renyi, abs(renyi_entropy(Q, p) - dense_renyi(rho, p)))
+        dev_vn = max(dev_vn, abs(von_neumann_entropy(Q) - dense_von_neumann(rho)))
         Q2 = random_symbol(d, rng, 0.05, 0.95)
-        dense_rel = _dense_relative(rho, density_matrix(Q2))
+        dense_rel = dense_relative(rho, density_matrix(Q2))
         dev_rel = max(dev_rel, abs(relative_entropy(Q, Q2) - dense_rel))
     results.append(CheckResult("renyi-vs-dense", dev_renyi, 1e-9))
     results.append(CheckResult("von-neumann-vs-dense", dev_vn, 1e-9))

@@ -12,7 +12,9 @@ symbol reproduces B through B = sqrt(1 - A*A) Q' sqrt(1 - A*A).  The rotation
 direction (conjugate by E(V), not E(V)*) is the one under which the trace
 duality with the Schrodinger action holds; it is frozen here and enforced by
 the test suite.  Gamma-kind channels route through the lambda channel with
-conjugated A composed with the particle-hole automorphism.
+conjugated A composed with the particle-hole automorphism; one helper,
+:func:`_oracle_pieces`, does that routing with the dense particle-hole
+unitary, independently of the symbol-side twist it checks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KIND_GAMMA, KIND_LAMBDA, QuasiFreeChannel, checked_inverse
+from .channels import KIND_GAMMA, QuasiFreeChannel, _as_lambda, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -66,27 +68,28 @@ class ChoiExponentialForm:
 def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     """Block symbol of the Jamiolkowski state.
 
-    lambda kind:  1/2 [[1, A], [A*, A*A + 2B]]
-    gamma kind:   1/2 [[1, -A], [-A*, A*A + 2B^T]]
+    lambda(A, B):  J = 1/2 [[1, A], [A*, A*A + 2B]].  For lambda(At, B) . theta
+    it is D conj(J_lambda(At, B)) D = D J_lambda(A, B^T) D, D = diag(1, -1).
 
     J = 1/2 [1; A*][1, A] + diag(0, B) and
     1 - J = 1/2 [1; -A*][1, -A] + diag(0, 1 - A*A - B), so 0 <= J <= 1 is
     exactly the complete-positivity test 0 <= B <= 1 - A*A of the source
-    channel (gamma: the same with -A and B^T).  For a channel made by
-    :func:`new_channel` it is therefore not repeated; the spectrum is
-    range-checked when first read.  A hand-built channel's J is validated as
-    a Symbol, which raises when the channel is not CP.
+    channel.  For a channel made by :func:`new_channel` it is therefore not
+    repeated; the spectrum is range-checked when first read.  A hand-built
+    channel's J is validated as a Symbol, which raises when it is not CP.
     """
-    A, B = channel.A, channel.B
+    A, B, twisted = _as_lambda(channel)
+    sign = 1.0
+    if twisted:
+        A, B, sign = np.conj(A), B.T, -1.0
     d = channel.dim
-    sign = 1.0 if channel.kind == KIND_LAMBDA else -1.0
     J = np.empty((2 * d, 2 * d), dtype=complex)
     J[:d, :d] = 0.5 * np.eye(d)
     J[:d, d:] = (0.5 * sign) * A
     J[d:, :d] = (0.5 * sign) * A.conj().T
     gram = A.conj().T @ A
     J[d:, d:] = 0.25 * (gram + gram.conj().T)  # A*A / 2, exactly Hermitian
-    J[d:, d:] += B if channel.kind == KIND_LAMBDA else B.T
+    J[d:, d:] += B
     if channel._trusted:
         sym = _trusted_symbol(J)
     else:
@@ -97,12 +100,13 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
 def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     """Closed form of the Choi matrix, defined when B is invertible.
 
-    lambda kind argument: [[B^-1 - 1, B^-1 A*], [A B^-1, 1 + A B^-1 A*]];
-    the gamma kind substitutes conj(A) for A.  Raises :class:`SingularB`
-    when cond(B) >= ``B_COND_MAX``; callers may fall back to
-    :func:`dense_choi` at small d.
+    Argument [[B^-1 - 1, B^-1 At*], [At B^-1, 1 + At B^-1 At*]] for the
+    channel lambda(At, B) . theta^twisted; the twist changes the Choi matrix
+    by a unitary on the output factor only, which the form leaves out.
+    Raises :class:`SingularB` when cond(B) >= ``B_COND_MAX``; callers may
+    fall back to :func:`dense_choi` at small d.
     """
-    A, B = channel.A, channel.B
+    A, B, _ = _as_lambda(channel)
     d = channel.dim
     Binv = checked_inverse(
         B,
@@ -111,8 +115,6 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
             "B is numerically singular; the exponential Choi form does not apply"
         ),
     )
-    if channel.kind == KIND_GAMMA:
-        A = np.conj(A)
     Binv = (Binv + Binv.conj().T) / 2.0
     AB = A @ Binv
     argument = np.empty((2 * d, 2 * d), dtype=complex)
@@ -156,45 +158,42 @@ def _environment_symbol(A: np.ndarray, B: np.ndarray) -> Symbol:
         raise InconsistentB(str(exc)) from exc
 
 
-def _stinespring_pieces(A: np.ndarray, B: np.ndarray):
-    """Rotation G (tensor coordinates over Fock(d) x Fock(d)) and environment
-    density matrix for the lambda-kind channel (A, B)."""
-    d = A.shape[0]
+def _oracle_pieces(channel: QuasiFreeChannel):
+    """Stinespring rotation G (tensor coordinates over Fock(d) x Fock(d)),
+    environment density matrix, and for gamma the particle-hole unitary W
+    (else None): gamma(A, B) is lambda(conj A, B) after rho -> W* rho W."""
+    d = channel.dim
+    A, W = channel.A, None
+    if channel.kind == KIND_GAMMA:
+        A, W = np.conj(A), particle_hole_unitary(d)
     eye = np.eye(d)
     root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
     root_right, _ = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
     V = np.block([[A, root_left], [-root_right, A.conj().T]])
     U = split_isomorphism(d, d)
     G = U @ exp_element(V) @ U.conj().T
-    rho_env = density_matrix(_environment_symbol(A, B))
-    return G, rho_env
+    rho_env = density_matrix(_environment_symbol(A, channel.B))
+    return G, rho_env, W
+
+
+def _schrodinger_core(G: np.ndarray, rho_env: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    n = rho.shape[0]
+    M = G.conj().T @ np.kron(rho, rho_env) @ G
+    return partial_trace(M, (n, n), keep=0)
 
 
 def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarray:
-    """Dense Heisenberg action of the channel on a Fock operator x.
-
-    For gamma-kind channels the action is the lambda channel with conjugated
-    A followed by the particle-hole automorphism.
-    """
+    """Dense Heisenberg action of the channel on a Fock operator x."""
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
     x = np.asarray(x, dtype=complex)
     if x.shape != (n, n):
         raise DimensionMismatch(f"operator shape {x.shape}, expected {(n, n)}")
-    if channel.kind == KIND_GAMMA:
-        W = particle_hole_unitary(d)
-        inner = _heisenberg_core(np.conj(channel.A), channel.B, x)
-        return W @ inner @ W.conj().T
-    return _heisenberg_core(channel.A, channel.B, x)
-
-
-def _heisenberg_core(A: np.ndarray, B: np.ndarray, x: np.ndarray) -> np.ndarray:
-    G, rho_env = _stinespring_pieces(A, B)
-    n = x.shape[0]
+    G, rho_env, W = _oracle_pieces(channel)
     M = G @ np.kron(x, np.eye(n)) @ G.conj().T
-    weighted = np.kron(np.eye(n), rho_env) @ M
-    return partial_trace(weighted, (n, n), keep=0)
+    out = partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)
+    return out if W is None else W @ out @ W.conj().T
 
 
 def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.ndarray:
@@ -206,17 +205,10 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state shape {rho.shape}, expected {(n, n)}")
-    if channel.kind == KIND_GAMMA:
-        W = particle_hole_unitary(d)
-        return _schrodinger_core(np.conj(channel.A), channel.B, W.conj().T @ rho @ W)
-    return _schrodinger_core(channel.A, channel.B, rho)
-
-
-def _schrodinger_core(A: np.ndarray, B: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    G, rho_env = _stinespring_pieces(A, B)
-    n = rho.shape[0]
-    M = G.conj().T @ np.kron(rho, rho_env) @ G
-    return partial_trace(M, (n, n), keep=0)
+    G, rho_env, W = _oracle_pieces(channel)
+    if W is not None:
+        rho = W.conj().T @ rho @ W
+    return _schrodinger_core(G, rho_env, rho)
 
 
 def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
@@ -226,11 +218,7 @@ def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    if channel.kind == KIND_GAMMA:
-        A = np.conj(channel.A)
-    else:
-        A = channel.A
-    G, rho_env = _stinespring_pieces(A, channel.B)
+    G, rho_env, W = _oracle_pieces(channel)
     # C[(i,a),(j,b)] = [channel*(e_ij)]_{ab}
     #               = sum_{s,s',c} rho_env[s,s'] G[(a,s'),(i,c)] conj(G[(b,s),(j,c)])
     G4 = G.reshape(n, n, n, n)
@@ -238,8 +226,7 @@ def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
     left = G4.transpose(2, 0, 1, 3).reshape(n * n, n * n)
     right = H.transpose(2, 0, 1, 3).reshape(n * n, n * n)
     C = left @ right.T  # rows (i,a), cols (j,b)
-    if channel.kind == KIND_GAMMA:
-        W = particle_hole_unitary(d)
+    if W is not None:
         WW = np.kron(np.eye(n), W)
         C = WW @ C @ WW.conj().T
     return C
@@ -251,19 +238,12 @@ def dense_jamiolkowski(channel: QuasiFreeChannel) -> np.ndarray:
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    if channel.kind == KIND_GAMMA:
-        A = np.conj(channel.A)
-        W = particle_hole_unitary(d)
-    else:
-        A = channel.A
-        W = None
-    G, rho_env = _stinespring_pieces(A, channel.B)
+    G, rho_env, W = _oracle_pieces(channel)
     out = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
             unit = np.zeros((n, n), dtype=complex)
             unit[i, j] = 1.0
             rho_in = unit if W is None else W.conj().T @ unit @ W
-            M = G.conj().T @ np.kron(rho_in, rho_env) @ G
-            out += np.kron(unit, partial_trace(M, (n, n), keep=0))
+            out += np.kron(unit, _schrodinger_core(G, rho_env, rho_in))
     return out / n

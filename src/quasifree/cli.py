@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +42,9 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_BAD_FLAG = 4
 EXIT_NOT_CP = 5
+
+#: set to 1 in the environment that ``bench`` times in
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ParseError(Exception):
@@ -71,10 +76,18 @@ def parse_matrix_document(doc) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def format_matrix_document(M: np.ndarray) -> str:
+def _pairs(M) -> list:
+    """The [re, im] pairs of M's entries, row-major."""
     M = np.asarray(M, dtype=complex)
-    data = [[float(v.real), float(v.imag)] for v in M.reshape(-1)]
-    return json.dumps({"rows": M.shape[0], "cols": M.shape[1], "data": data})
+    return np.stack((M.real, M.imag), -1).reshape(-1, 2).tolist()
+
+
+def _matrix_object(M: np.ndarray) -> dict:
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": _pairs(M)}
+
+
+def format_matrix_document(M: np.ndarray) -> str:
+    return json.dumps(_matrix_object(M))
 
 
 def parse_channel_document(doc) -> QuasiFreeChannel:
@@ -156,11 +169,7 @@ def cmd_jamiolkowski(args) -> int:
 def cmd_choi(args) -> int:
     channel = parse_channel_document(_load_json(args.channel))
     form = choi_exponential_form(channel)
-    doc = {
-        "scale": form.scale,
-        "argument": json.loads(format_matrix_document(form.argument)),
-    }
-    print(json.dumps(doc))
+    print(json.dumps({"scale": form.scale, "argument": _matrix_object(form.argument)}))
     return EXIT_OK
 
 
@@ -170,8 +179,7 @@ def cmd_spectrum(args) -> int:
         raise ParseError("spectrum needs a square matrix")
     values = exp_spectrum(X)
     order = np.lexsort((values.imag, values.real))
-    out = [[float(v.real), float(v.imag)] for v in values[order]]
-    print(json.dumps(out))
+    print(json.dumps(_pairs(values[order])))
     return EXIT_OK
 
 
@@ -205,6 +213,21 @@ def _bench_instance(d: int, rng: np.random.Generator):
     return Q, new_channel("lambda", A, B)
 
 
+def _bench_pinned(dims, seed: int) -> int:
+    """Rerun the bench in a child interpreter with BLAS pinned to one thread."""
+    import subprocess  # only bench needs it; kept off every CLI start
+
+    env = dict(os.environ, **{var: "1" for var in _BLAS_THREAD_VARS})
+    src = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["bench", "--dims", ",".join(map(str, dims)), "--seed", str(seed)]
+    cmd = [sys.executable, "-m", "quasifree", *argv]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    sys.stdout.write(proc.stdout)
+    sys.stderr.write(proc.stderr)
+    return proc.returncode
+
+
 def cmd_bench(args) -> int:
     try:
         dims = [int(v) for v in args.dims.split(",") if v]
@@ -214,30 +237,19 @@ def cmd_bench(args) -> int:
     if not dims or any(v < 1 for v in dims):
         print("--dims entries must be positive", file=sys.stderr)
         return EXIT_BAD_FLAG
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - depends on environment
-        threadpool_limits = None
-        print("note: threadpoolctl unavailable; BLAS may use several threads", file=sys.stderr)
+    if any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS):
+        return _bench_pinned(dims, args.seed)
 
     rng = np.random.default_rng(args.seed)
     print(f"{'d':>6s} {'entropy_s':>12s} {'evolve_s':>12s} {'dense_dim_avoided':>20s}")
     for d in dims:
         Q, channel = _bench_instance(d, rng)
 
-        def timed():
-            t0 = time.perf_counter()
-            von_neumann_entropy(Q)
-            t1 = time.perf_counter()
-            apply_schrodinger(channel, Q)
-            t2 = time.perf_counter()
-            return t1 - t0, t2 - t1
-
-        if threadpool_limits is not None:
-            with threadpool_limits(limits=1):
-                t_ent, t_evo = timed()
-        else:
-            t_ent, t_evo = timed()
+        t0 = time.perf_counter()
+        von_neumann_entropy(Q)
+        t1 = time.perf_counter()
+        apply_schrodinger(channel, Q)
+        t_ent, t_evo = t1 - t0, time.perf_counter() - t1
         approx = f"2^{d} ~ 1e{int(d * 0.30103)}"
         print(f"{d:6d} {t_ent:12.6f} {t_evo:12.6f} {approx:>20s}")
     return EXIT_OK

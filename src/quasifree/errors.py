@@ -66,5 +66,9 @@ class KernelConditionViolated(QuasifreeError):
     is infinite."""
 
 
+class InvalidArgument(QuasifreeError, ValueError):
+    """An argument lies outside its documented domain (weight, kind, sign)."""
+
+
 class InvalidOrder(QuasifreeError):
     """Renyi order must be positive and different from 1."""

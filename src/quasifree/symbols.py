@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NotHermitian,
     NotQuasiFreeMixture,
     SpectrumOutOfRange,
@@ -171,7 +172,7 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
     if Q1.dim != Q2.dim:
         raise DimensionMismatch(f"symbol dims differ: {Q1.dim} vs {Q2.dim}")
     if not 0.0 < lam < 1.0:
-        raise ValueError(f"mixture weight must lie in (0, 1), got {lam}")
+        raise InvalidArgument(f"mixture weight must lie in (0, 1), got {lam}")
     D = Q1.matrix - Q2.matrix
     scale = np.abs(D).max()
     if scale > 0.0:

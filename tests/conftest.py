@@ -1,7 +1,8 @@
 """Shared dense-side oracles for the test suite.
 
 These deliberately avoid the symbol-level code paths they are used to check:
-entropies come from eigenvalues of explicit density matrices, subset products
+entropies come from eigenvalues of explicit density matrices (the dense
+references of :mod:`quasifree.checks`, re-exported here), subset products
 from brute-force enumeration.
 """
 
@@ -10,29 +11,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from quasifree.checks import dense_relative, dense_renyi, dense_von_neumann  # noqa: F401
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-def dense_von_neumann(rho: np.ndarray) -> float:
-    w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
-
-
-def dense_renyi(rho: np.ndarray, p: float) -> float:
-    w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    return float(np.log(np.sum(w**p)) / (1.0 - p))
-
-
-def dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
-    w1, V1 = np.linalg.eigh(r1)
-    w2, V2 = np.linalg.eigh(r2)
-    log1 = (V1 * np.log(np.clip(w1, 1e-300, None))) @ V1.conj().T
-    log2 = (V2 * np.log(np.clip(w2, 1e-300, None))) @ V2.conj().T
-    return float(np.trace(r1 @ (log1 - log2)).real)
 
 
 def brute_subset_products(q) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 the worst observed deviation so the run doubles as a report."""
 
-import json
 import os
 import subprocess
 import sys
@@ -267,36 +266,8 @@ def test_criterion_6_mixtures():
     assert errors == 50
 
 
-# The timed body of criterion 7 runs in a fresh interpreter whose environment
-# pins BLAS to one thread before numpy is imported.
-CRITERION_7_CHILD = """
-import json
-import time
-
-import numpy as np
-
-from quasifree import apply_schrodinger, new_channel, validate_symbol, von_neumann_entropy
-
-rng = np.random.default_rng({seed})
-d = 2000
-M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-H = (M + M.conj().T) / 2.0
-H *= 0.4 / float(np.abs(H).sum(axis=1).max())
-Q = validate_symbol(0.5 * np.eye(d) + H)
-A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(8.0 * d)
-channel = new_channel("lambda", A, 0.5 * (np.eye(d) - A.conj().T @ A))
-
-von_neumann_entropy(validate_symbol(0.5 * np.eye(8)))  # warm the BLAS path
-t0 = time.perf_counter()
-von_neumann_entropy(Q)
-t_entropy = time.perf_counter() - t0
-t0 = time.perf_counter()
-apply_schrodinger(channel, Q)
-t_evolve = time.perf_counter() - t0
-print(json.dumps({{"entropy": t_entropy, "evolve": t_evolve}}))
-"""
-
-
+# The timed body of criterion 7 is `quasifree bench` in a fresh interpreter
+# whose environment pins BLAS to one thread before numpy is imported.
 def test_criterion_7_performance():
     import quasifree
 
@@ -304,15 +275,14 @@ def test_criterion_7_performance():
     src = str(Path(quasifree.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", CRITERION_7_CHILD.format(seed=SEED + 6)],
+        [sys.executable, "-m", "quasifree", "bench", "--dims", "2000", "--seed", str(SEED + 6)],
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    times = json.loads(proc.stdout.strip().splitlines()[-1])
-    t_entropy, t_evolve = times["entropy"], times["evolve"]
+    t_entropy, t_evolve = map(float, proc.stdout.strip().splitlines()[-1].split()[1:3])
 
     with pytest.raises(DimensionCap):
         exp_element(np.eye(15))

@@ -4,6 +4,7 @@ import pytest
 from quasifree import (
     AffineSymbolMap,
     DimensionMismatch,
+    InvalidArgument,
     NotCompletelyPositive,
     SingularPivot,
     apply_heisenberg_exp,
@@ -14,6 +15,7 @@ from quasifree import (
     density_matrix,
     exp_element,
     fock_basis,
+    mix_symbols,
     new_channel,
     stinespring_heisenberg,
     stinespring_schrodinger,
@@ -39,6 +41,23 @@ def test_new_channel_examples():
 def test_new_channel_rejects_non_hermitian_b():
     with pytest.raises(NotCompletelyPositive):
         new_channel("lambda", np.zeros((2, 2)), np.array([[0.0, 0.1], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mix_symbols(validate_symbol(np.eye(1) / 2), validate_symbol(np.eye(1) / 2), 1.5),
+        lambda: new_channel("delta", np.eye(2), np.zeros((2, 2))),
+        lambda: classify_affine_map(AffineSymbolMap(2, False, np.eye(2), np.zeros((2, 2)))),
+    ],
+    ids=["mix-weight", "channel-kind", "affine-sign"],
+)
+def test_invalid_arguments_are_typed(call):
+    # a domain error, still catchable as the ValueError it used to be
+    with pytest.raises(InvalidArgument):
+        call()
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_gamma_bound_uses_transposed_gram():
@@ -182,12 +201,13 @@ def test_heisenberg_state_matches_stinespring(rng):
 def test_heisenberg_state_projector_limit(rng):
     # symbols approaching a projector stay consistent with the dense oracle
     d = 2
-    c = random_channel(d, rng, "lambda")
-    for eps in (1e-2, 1e-4):
-        Q = validate_symbol((1.0 - eps) * np.diag([1.0, 0.0]))
-        ss = apply_heisenberg_state(c, Q)
-        dense = stinespring_heisenberg(c, density_matrix(Q))
-        assert np.abs(ss.scale * exp_element(ss.argument) - dense).max() < 1e-8
+    for kind in KINDS:
+        c = random_channel(d, rng, kind)
+        for eps in (1e-2, 1e-4):
+            Q = validate_symbol((1.0 - eps) * np.diag([1.0, 0.0]))
+            ss = apply_heisenberg_state(c, Q)
+            dense = stinespring_heisenberg(c, density_matrix(Q))
+            assert np.abs(ss.scale * exp_element(ss.argument) - dense).max() < 1e-8
 
 
 def test_trace_preservation_dense(rng):
