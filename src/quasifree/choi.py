@@ -14,7 +14,8 @@ duality with the Schrodinger action holds; it is frozen here and enforced by
 the test suite.  Gamma-kind channels route through the lambda channel with
 conjugated A composed with the particle-hole automorphism; one helper,
 :func:`_oracle_pieces`, does that routing with the dense particle-hole
-unitary, independently of the symbol-side twist it checks.
+unitary, independently of the symbol-side twist it checks, by folding the
+unitary into the rotation once.
 """
 
 from __future__ import annotations
@@ -159,27 +160,26 @@ def _environment_symbol(A: np.ndarray, B: np.ndarray) -> Symbol:
 
 
 def _oracle_pieces(channel: QuasiFreeChannel):
-    """Stinespring rotation G (tensor coordinates over Fock(d) x Fock(d)),
-    environment density matrix, and for gamma the particle-hole unitary W
-    (else None): gamma(A, B) is lambda(conj A, B) after rho -> W* rho W."""
+    """Stinespring rotation G (tensor coordinates over Fock(d) x Fock(d)) and
+    environment density matrix.
+
+    gamma(A, B) is lambda(conj A, B) after rho -> W* rho W, W the
+    particle-hole unitary.  W (x) 1 commutes with 1 (x) rho_env, so that
+    twist is the lambda realization with G replaced by (W (x) 1) G.
+    """
     d = channel.dim
-    A, W = channel.A, None
-    if channel.kind == KIND_GAMMA:
-        A, W = np.conj(A), particle_hole_unitary(d)
+    twisted = channel.kind == KIND_GAMMA
+    A = np.conj(channel.A) if twisted else channel.A
     eye = np.eye(d)
     root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
     root_right, _ = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
     V = np.block([[A, root_left], [-root_right, A.conj().T]])
     U = split_isomorphism(d, d)
     G = U @ exp_element(V) @ U.conj().T
+    if twisted:
+        G = (particle_hole_unitary(d) @ G.reshape(1 << d, -1)).reshape(G.shape)
     rho_env = density_matrix(_environment_symbol(A, channel.B))
-    return G, rho_env, W
-
-
-def _schrodinger_core(G: np.ndarray, rho_env: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    n = rho.shape[0]
-    M = G.conj().T @ np.kron(rho, rho_env) @ G
-    return partial_trace(M, (n, n), keep=0)
+    return G, rho_env
 
 
 def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarray:
@@ -190,10 +190,9 @@ def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarr
     x = np.asarray(x, dtype=complex)
     if x.shape != (n, n):
         raise DimensionMismatch(f"operator shape {x.shape}, expected {(n, n)}")
-    G, rho_env, W = _oracle_pieces(channel)
+    G, rho_env = _oracle_pieces(channel)
     M = G @ np.kron(x, np.eye(n)) @ G.conj().T
-    out = partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)
-    return out if W is None else W @ out @ W.conj().T
+    return partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)
 
 
 def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.ndarray:
@@ -205,10 +204,9 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state shape {rho.shape}, expected {(n, n)}")
-    G, rho_env, W = _oracle_pieces(channel)
-    if W is not None:
-        rho = W.conj().T @ rho @ W
-    return _schrodinger_core(G, rho_env, rho)
+    G, rho_env = _oracle_pieces(channel)
+    M = G.conj().T @ np.kron(rho, rho_env) @ G
+    return partial_trace(M, (n, n), keep=0)
 
 
 def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
@@ -218,32 +216,23 @@ def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    G, rho_env, W = _oracle_pieces(channel)
+    G, rho_env = _oracle_pieces(channel)
     # C[(i,a),(j,b)] = [channel*(e_ij)]_{ab}
     #               = sum_{s,s',c} rho_env[s,s'] G[(a,s'),(i,c)] conj(G[(b,s),(j,c)])
     G4 = G.reshape(n, n, n, n)
     H = np.einsum("sp,bsjc->bpjc", rho_env, np.conj(G4), optimize=True)
     left = G4.transpose(2, 0, 1, 3).reshape(n * n, n * n)
     right = H.transpose(2, 0, 1, 3).reshape(n * n, n * n)
-    C = left @ right.T  # rows (i,a), cols (j,b)
-    if W is not None:
-        WW = np.kron(np.eye(n), W)
-        C = WW @ C @ WW.conj().T
-    return C
+    return left @ right.T  # rows (i,a), cols (j,b)
 
 
 def dense_jamiolkowski(channel: QuasiFreeChannel) -> np.ndarray:
     """Jamiolkowski state (1/2^d) sum_ij e_ij (x) channel(e_ij): the image of
-    the maximally entangled projector under id (x) channel, built densely."""
-    d = channel.dim
-    _check_dense_dim(d)
-    n = fock_basis(d).size
-    G, rho_env, W = _oracle_pieces(channel)
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            rho_in = unit if W is None else W.conj().T @ unit @ W
-            out += np.kron(unit, _schrodinger_core(G, rho_env, rho_in))
-    return out / n
+    the maximally entangled projector under id (x) channel.
+
+    Read off the Choi matrix by trace duality,
+    [channel(e_ij)]_ab = [channel*(e_ba)]_ji.
+    """
+    C = dense_choi(channel)
+    n = 1 << channel.dim
+    return C.reshape(n, n, n, n).transpose(3, 2, 1, 0).reshape(C.shape) / n

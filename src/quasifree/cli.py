@@ -56,7 +56,7 @@ def parse_matrix_document(doc) -> np.ndarray:
         raise ParseError("matrix document must be a JSON object")
     try:
         rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"matrix document missing/invalid field: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ParseError("rows and cols must be positive")
@@ -68,7 +68,7 @@ def parse_matrix_document(doc) -> np.ndarray:
             raise ParseError(f"entry {idx} is not a [re, im] pair")
         try:
             re, im = float(entry[0]), float(entry[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"entry {idx} is not a pair of numbers: {exc}") from exc
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ParseError(f"entry {idx} is not finite")

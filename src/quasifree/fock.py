@@ -14,7 +14,10 @@ completely filled state.  The basis vector of a subset is the wedge of the
 standard one-particle vectors in *ascending* mode order; every sign below
 follows from that choice.
 
-Operators are plain (2^d, 2^d) complex ndarrays over this basis.
+Operators are plain (2^d, 2^d) complex ndarrays over this basis.  The basis
+also carries each subset as a bitmask (bit j set iff mode j is occupied),
+``masks[i]``, and the inverse lookup ``position[mask]``, so that basis
+permutations and signs are array expressions rather than loops over subsets.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def oracle_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return HARD_ORACLE_CAP
+        raise DimensionCap(f"QUASIFREE_MAX_ORACLE_D must be an integer, got {raw!r}") from None
     return max(1, min(value, HARD_ORACLE_CAP))
 
 
@@ -72,7 +75,8 @@ class FockBasis:
 
     d: int
     subsets: tuple = field(repr=False)
-    index: dict = field(repr=False)
+    masks: np.ndarray = field(repr=False, compare=False)
+    position: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -91,8 +95,19 @@ def fock_basis(d: int) -> FockBasis:
     for k in range(d + 1):
         subsets.extend(combinations(range(d), k))
     subsets = tuple(subsets)
-    index = {s: i for i, s in enumerate(subsets)}
-    return FockBasis(d=d, subsets=subsets, index=index)
+    masks = np.array([sum(1 << j for j in s) for s in subsets], dtype=np.intp)
+    position = np.empty_like(masks)
+    position[masks] = np.arange(masks.size)
+    masks.flags.writeable = position.flags.writeable = False
+    return FockBasis(d=d, subsets=subsets, masks=masks, position=position)
+
+
+@lru_cache(maxsize=None)
+def _occupation(d: int) -> np.ndarray:
+    """(2^d, d) table of 0/1: row i marks the modes occupied in basis state i."""
+    occ = (fock_basis(d).masks[:, None] >> np.arange(d)) & 1
+    occ.flags.writeable = False
+    return occ
 
 
 def _creation_sign(subset: tuple, mode: int) -> int:
@@ -110,14 +125,13 @@ def creation_operator(phi) -> np.ndarray:
     d = phi.shape[0]
     _check_cap(d)
     basis = fock_basis(d)
+    occ = _occupation(d)
+    below = np.cumsum(occ, axis=1) - occ  # occupied modes below each mode
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, subset in enumerate(basis.subsets):
-        occupied = set(subset)
-        for mode in range(d):
-            if mode in occupied or phi[mode] == 0:
-                continue
-            row = basis.index[tuple(sorted(subset + (mode,)))]
-            out[row, col] += _creation_sign(subset, mode) * phi[mode]
+    for mode in np.flatnonzero(phi):
+        cols = np.flatnonzero(occ[:, mode] == 0)
+        rows = basis.position[basis.masks[cols] | (1 << mode)]
+        out[rows, cols] = np.where(below[cols, mode] % 2, -phi[mode], phi[mode])
     return out
 
 
@@ -128,8 +142,7 @@ def annihilation_operator(phi) -> np.ndarray:
 def number_operator(d: int) -> np.ndarray:
     """Diagonal operator counting the occupied modes of each basis state."""
     _check_cap(d)
-    basis = fock_basis(d)
-    return np.diag([float(len(s)) for s in basis.subsets]).astype(complex)
+    return np.diag(_occupation(d).sum(axis=1).astype(complex))
 
 
 def _sector_block(X: np.ndarray, subs: np.ndarray) -> np.ndarray:
@@ -234,14 +247,8 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
 def _subset_weights(values: np.ndarray) -> np.ndarray:
     """For each basis subset L, prod_{r in L} v_r * prod_{s not in L} (1 - v_s),
     in graded-lexicographic order."""
-    d = values.shape[0]
-    basis = fock_basis(d)
-    out = np.empty(basis.size, dtype=float)
-    for i, subset in enumerate(basis.subsets):
-        mask = np.zeros(d, dtype=bool)
-        mask[list(subset)] = True
-        out[i] = np.prod(np.where(mask, values, 1.0 - values))
-    return out
+    occ = _occupation(values.shape[0]).astype(bool)
+    return np.where(occ, values, 1.0 - values).prod(axis=1)
 
 
 def density_matrix(Q: Symbol) -> np.ndarray:
@@ -305,15 +312,13 @@ def split_isomorphism(d1: int, d2: int) -> np.ndarray:
     all entries are +1.
     """
     _check_cap(d1 + d2)
-    basis = fock_basis(d1 + d2)
-    left_basis = fock_basis(d1)
-    right_basis = fock_basis(d2)
-    U = np.zeros((basis.size, basis.size), dtype=complex)
-    for fock_idx, subset in enumerate(basis.subsets):
-        left = tuple(i for i in subset if i < d1)
-        right = tuple(i - d1 for i in subset if i >= d1)
-        tensor_idx = left_basis.index[left] * right_basis.size + right_basis.index[right]
-        U[tensor_idx, fock_idx] = 1.0
+    masks = fock_basis(d1 + d2).masks
+    left, right = fock_basis(d1), fock_basis(d2)
+    tensor_idx = (
+        left.position[masks & (left.size - 1)] * right.size + right.position[masks >> d1]
+    )
+    U = np.zeros((masks.size, masks.size), dtype=complex)
+    U[tensor_idx, np.arange(masks.size)] = 1.0
     return U
 
 
@@ -322,8 +327,7 @@ def parity_operator(d: int) -> np.ndarray:
     equals exp_element(-1), squares to 1, anticommutes with every creation
     operator.  The + sign is a fixed internal choice."""
     _check_cap(d)
-    basis = fock_basis(d)
-    return np.diag([(-1.0) ** len(s) for s in basis.subsets]).astype(complex)
+    return np.diag(((-1.0) ** _occupation(d).sum(axis=1)).astype(complex))
 
 
 def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
@@ -346,20 +350,23 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
 def particle_hole_unitary(d: int) -> np.ndarray:
     """Unitary implementing the particle-hole automorphism a(phi) -> a*(conj phi).
 
-    Product of the self-adjoint unitaries a*(e_i) + a(e_i), with one parity
-    factor when d is even so that conjugation sends each a_i exactly to a_i*
-    (the bare product picks up (-1)^(d-1)).
+    Product of the self-adjoint unitaries a*(e_i) + a(e_i), i = 0, ..., d-1,
+    with one parity factor when d is even so that conjugation sends each a_i
+    exactly to a_i* (the bare product picks up (-1)^(d-1)).  That product is
+    the signed permutation L -> complement of L with sign
+    (-1)^sum_{j in L} (d-1-j), times (-1)^(d-|L|) when d is even, which is
+    how it is built here.
     """
     _check_cap(d)
     basis = fock_basis(d)
-    W = np.eye(basis.size, dtype=complex)
-    for mode in range(d):
-        e = np.zeros(d)
-        e[mode] = 1.0
-        c = creation_operator(e)
-        W = W @ (c + c.conj().T)
-    if (d - 1) % 2:
-        W = parity_operator(d) @ W
+    occ = _occupation(d)
+    exponent = (occ * np.arange(d - 1, -1, -1)).sum(axis=1)
+    if d % 2 == 0:
+        exponent += d - occ.sum(axis=1)
+    W = np.zeros((basis.size, basis.size), dtype=complex)
+    W[basis.position[basis.masks ^ (basis.size - 1)], np.arange(basis.size)] = (
+        (-1.0) ** exponent
+    )
     return W
 
 

@@ -64,6 +64,16 @@ def test_jamiolkowski_spectrum_matches_dense(rng):
             dense = np.sort(np.linalg.eigvalsh(dense_jamiolkowski(c)))
             sym = np.sort(np.linalg.eigvalsh(density_matrix(jamiolkowski_symbol(c).symbol)))
             assert np.abs(dense - sym).max() < 1e-8
+            if d <= 2:
+                # the definition: (1/n) sum_ij e_ij (x) channel(e_ij)
+                n = 2**d
+                ref = np.zeros((n * n, n * n), dtype=complex)
+                for i in range(n):
+                    for j in range(n):
+                        unit = np.zeros((n, n), dtype=complex)
+                        unit[i, j] = 1.0
+                        ref += np.kron(unit, stinespring_schrodinger(c, unit))
+                assert np.abs(dense_jamiolkowski(c) - ref / n).max() < 1e-12
 
 
 def test_jamiolkowski_extended_pair_identity(rng):

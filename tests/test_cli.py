@@ -46,6 +46,8 @@ def test_entropy_error_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["entropy", str(bad)]) == 2
+    bad.write_text('{"rows": 1e400, "cols": 1, "data": [[0.5, 0]]}')
+    assert main(["entropy", str(bad)]) == 2
     nonherm = write_matrix(tmp_path / "nh.json", np.array([[0, 1], [0, 0]]))
     assert main(["entropy", nonherm]) == 3
     ok = write_matrix(tmp_path / "ok.json", np.array([[0.5]]))
@@ -65,7 +67,7 @@ def test_relent(tmp_path, capsys):
 
 
 def test_non_numeric_entries_are_parse_errors(tmp_path, capsys):
-    for bad in (["a", 0], [None, 0]):
+    for bad in (["a", 0], [None, 0], [10**400, 0]):
         doc = {"rows": 1, "cols": 1, "data": [bad]}
         with pytest.raises(ParseError):
             parse_matrix_document(doc)

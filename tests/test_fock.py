@@ -309,8 +309,16 @@ def test_wedge_state_product_rejects_odd_first_factor():
 
 
 def test_particle_hole_unitary():
-    for d in (1, 2, 3):
+    for d in range(1, 9):
         W = particle_hole_unitary(d)
+        # the definition: prod_i (a*_i + a_i), times the parity when d is even
+        product = np.eye(2**d, dtype=complex)
+        for i in range(d):
+            c = creation_operator(basis_vector(d, i))
+            product = product @ (c + c.conj().T)
+        if d % 2 == 0:
+            product = parity_operator(d) @ product
+        assert np.array_equal(W, product)
         assert np.abs(W @ W.conj().T - np.eye(2**d)).max() < 1e-12
         for i in range(d):
             a = creation_operator(basis_vector(d, i)).conj().T
@@ -334,4 +342,5 @@ def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "99")
     assert oracle_cap() == 14  # hard cap wins
     monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "nonsense")
-    assert oracle_cap() == 14
+    with pytest.raises(DimensionCap):
+        oracle_cap()
