@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NotCompletelyPositive, SingularPivot
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    NotCompletelyPositive,
+    ScaleOutOfRange,
+    SingularPivot,
+)
 from .symbols import Symbol, _trusted_symbol, validate_symbol
 
 KIND_LAMBDA = "lambda"
@@ -225,6 +231,17 @@ def checked_inverse(P: np.ndarray, cond_max: float, singular) -> np.ndarray:
     return np.linalg.inv(P) if Pinv is None else Pinv
 
 
+def checked_det(P: np.ndarray, what: str) -> complex:
+    """det P, or :class:`ScaleOutOfRange` when it is not finite or underflows
+    to exactly 0; only then is log|det P| computed, for the message."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(P))
+    if np.isfinite(det) and det != 0:
+        return det
+    logabsdet = np.linalg.slogdet(P)[1]
+    raise ScaleOutOfRange(f"{what} is outside double range: log|det| = {logabsdet:.6e}")
+
+
 def _pivot_inverse(P: np.ndarray) -> np.ndarray:
     return checked_inverse(
         P,
@@ -248,7 +265,8 @@ def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> Scal
     D = T - S
     pivot = S + D @ B
     argument = np.eye(channel.dim) + A @ (_pivot_inverse(pivot) @ D) @ A.conj().T
-    return ScaledExponential(scale=complex(np.linalg.det(pivot)), argument=argument)
+    scale = checked_det(pivot, "Heisenberg scale det(pivot)")
+    return ScaledExponential(scale=scale, argument=argument)
 
 
 def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:

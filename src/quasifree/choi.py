@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KIND_GAMMA, QuasiFreeChannel, _as_lambda, checked_inverse
+from .channels import KIND_GAMMA, QuasiFreeChannel, _as_lambda, checked_det, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -105,7 +105,8 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     channel lambda(At, B) . theta^twisted; the twist changes the Choi matrix
     by a unitary on the output factor only, which the form leaves out.
     Raises :class:`SingularB` when cond(B) >= ``B_COND_MAX``; callers may
-    fall back to :func:`dense_choi` at small d.
+    fall back to :func:`dense_choi` at small d.  A well-conditioned B whose det
+    leaves double range raises :class:`ScaleOutOfRange`.
     """
     A, B, _ = _as_lambda(channel)
     d = channel.dim
@@ -123,8 +124,8 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     argument[:d, d:] = AB.conj().T  # B^-1 A*, as B^-1 is Hermitian
     argument[d:, :d] = AB
     argument[d:, d:] = AB @ A.conj().T + np.eye(d)
-    scale = np.linalg.det(B)
-    return ChoiExponentialForm(scale=float(scale.real), argument=argument)
+    scale = checked_det(B, "Choi scale det(B)")
+    return ChoiExponentialForm(scale=scale.real, argument=argument)
 
 
 def _check_dense_dim(d: int) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 from .channels import QuasiFreeChannel, apply_schrodinger, new_channel
 from .checks import run_oracle_checks
 from .choi import choi_exponential_form, jamiolkowski_symbol
-from .entropy import EntropyResult, relative_entropy, renyi_entropy, von_neumann_entropy
+from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import (
     DimensionCap,
     InvalidOrder,
@@ -62,7 +62,36 @@ def parse_matrix_document(doc) -> np.ndarray:
         raise ParseError("rows and cols must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"data must hold rows*cols = {rows * cols} entries")
-    out = np.empty(rows * cols, dtype=complex)
+    pairs = _numeric_pairs(data)
+    out = _parse_entries(data) if pairs is None else pairs.view(complex)
+    return out.reshape(rows, cols)
+
+
+def _numeric_pairs(data: list):
+    """data as an (n, 2) float array when every entry is a list of two finite
+    numbers, else None.
+
+    One numpy conversion certifies the common case; it accepts only what
+    :func:`_parse_entries` accepts, with the same values bit for bit (the
+    pairs are reinterpreted as complex, never summed as re + 1j im, so a
+    -0.0 real part survives).  Everything else goes to that loop, which
+    decides and words the ParseError.
+    """
+    if set(map(type, data)) != {list}:
+        return None
+    try:
+        raw = np.asarray(data)
+    except (ValueError, TypeError, OverflowError):  # ragged or nested entries
+        return None
+    if raw.dtype.kind not in "fi" or raw.shape != (len(data), 2):
+        return None
+    pairs = np.ascontiguousarray(raw, dtype=float)
+    return pairs if np.isfinite(pairs).all() else None
+
+
+def _parse_entries(data: list) -> np.ndarray:
+    """The entries of data as complex numbers, one [re, im] pair at a time."""
+    out = np.empty(len(data), dtype=complex)
     for idx, entry in enumerate(data):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"entry {idx} is not a [re, im] pair")
@@ -73,13 +102,14 @@ def parse_matrix_document(doc) -> np.ndarray:
         if not (np.isfinite(re) and np.isfinite(im)):
             raise ParseError(f"entry {idx} is not finite")
         out[idx] = complex(re, im)
-    return out.reshape(rows, cols)
+    return out
 
 
 def _pairs(M) -> list:
-    """The [re, im] pairs of M's entries, row-major."""
+    """The [re, im] pairs of M's entries, row-major, as tuples: the JSON
+    encoder writes a tuple as a list, so no per-entry list is built."""
     M = np.asarray(M, dtype=complex)
-    return np.stack((M.real, M.imag), -1).reshape(-1, 2).tolist()
+    return list(zip(M.real.ravel().tolist(), M.imag.ravel().tolist()))
 
 
 def _matrix_object(M: np.ndarray) -> dict:
@@ -120,19 +150,15 @@ def _load_symbol(path: str) -> Symbol:
 
 def cmd_entropy(args) -> int:
     sym = _load_symbol(args.matrix)
-    if args.p is None:
-        result = EntropyResult(von_neumann_entropy(sym), "von_neumann")
-    else:
-        result = EntropyResult(renyi_entropy(sym, args.p), "renyi", order=args.p)
-    print(f"{result.value:.12g}")
+    value = von_neumann_entropy(sym) if args.p is None else renyi_entropy(sym, args.p)
+    print(f"{value:.12g}")
     return EXIT_OK
 
 
 def cmd_relent(args) -> int:
     s1 = _load_symbol(args.matrix1)
     s2 = _load_symbol(args.matrix2)
-    result = EntropyResult(relative_entropy(s1, s2), "relative")
-    print(f"{result.value:.12g}")
+    print(f"{relative_entropy(s1, s2):.12g}")
     return EXIT_OK
 
 

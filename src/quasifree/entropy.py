@@ -7,8 +7,6 @@ below to a d-term sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, KernelConditionViolated
@@ -18,21 +16,6 @@ from .symbols import Symbol, eigenbasis
 KERNEL_TOL = 1e-10
 #: kernel inclusion requires ||Q1 v|| at most this on those components
 KERNEL_INCLUSION_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EntropyResult:
-    """A computed entropy value tagged with its kind ('renyi', 'von_neumann'
-    or 'relative'); ``order`` is set for the Renyi case."""
-
-    value: float
-    kind: str
-    order: float | None = None
-
-    def __post_init__(self):
-        floor = -1e-8 if self.kind == "relative" else -1e-10
-        if self.value < floor:
-            raise ValueError(f"{self.kind} entropy {self.value} below {floor}")
 
 
 def renyi_entropy(Q: Symbol, p: float) -> float:

@@ -52,6 +52,12 @@ class SingularB(QuasifreeError):
     not apply.  Fall back to the dense construction at small dimension."""
 
 
+class ScaleOutOfRange(QuasifreeError):
+    """The determinant scale of a closed form overflows or underflows double
+    precision although its matrix is well conditioned; the message gives
+    log|det|."""
+
+
 class DimensionCap(QuasifreeError):
     """Dense oracle refused to build an exponentially large object."""
 

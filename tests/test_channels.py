@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from quasifree import (
     DimensionMismatch,
     InvalidArgument,
     NotCompletelyPositive,
+    ScaleOutOfRange,
     SingularPivot,
     apply_heisenberg_exp,
     apply_heisenberg_state,
@@ -112,6 +115,26 @@ def test_heisenberg_exp_singular_pivot():
     c = new_channel("lambda", np.zeros((2, 2)), np.eye(2))
     with pytest.raises(SingularPivot):
         apply_heisenberg_exp(c, np.zeros((2, 2)))
+
+
+def test_heisenberg_scale_out_of_range_is_typed():
+    # a well-conditioned pivot whose determinant overflows at d = 500
+    rng = np.random.default_rng(0)
+    c = random_channel(500, rng, "lambda")
+    X = rng.standard_normal((500, 500)) + 1j * rng.standard_normal((500, 500))
+    pivot = np.eye(500) - c.B + X @ c.B
+    logabsdet = np.linalg.slogdet(pivot)[1]
+    assert logabsdet > np.log(np.finfo(float).max)
+    with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {logabsdet:.6e}")):
+        apply_heisenberg_exp(c, X)
+
+
+def test_heisenberg_finite_scale_is_plain_det(rng):
+    # a finite scale is det(pivot) bit for bit, pivot = S + (T - S) B
+    c = random_channel(6, rng, "lambda")
+    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    eye = np.eye(6)
+    assert apply_heisenberg_exp(c, X).scale == complex(np.linalg.det(eye + (X - eye) @ c.B))
 
 
 def test_heisenberg_duality_dense(rng):

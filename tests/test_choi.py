@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from quasifree import (
     InconsistentB,
     QuasiFreeChannel,
     QuasifreeError,
+    ScaleOutOfRange,
     SingularB,
     apply_schrodinger,
     choi_exponential_form,
@@ -123,6 +126,14 @@ def test_choi_form_replacer_channel():
 def test_choi_form_singular_b():
     with pytest.raises(SingularB):
         choi_exponential_form(identity_channel(2))
+
+
+def test_choi_form_scale_out_of_range_is_typed():
+    # B = 0.01 * 1 is perfectly conditioned, but det B = 1e-400 underflows
+    d = 200
+    c = new_channel("lambda", np.zeros((d, d)), 0.01 * np.eye(d))
+    with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {d * np.log(0.01):.6e}")):
+        choi_exponential_form(c)
 
 
 def test_choi_form_matches_dense(rng):

@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from quasifree.cli import ParseError, format_matrix_document, main, parse_matrix_document
+from quasifree import exp_spectrum
+from quasifree.cli import (
+    ParseError,
+    _numeric_pairs,
+    _parse_entries,
+    format_matrix_document,
+    main,
+    parse_matrix_document,
+)
 
 
 def write_matrix(path, M):
@@ -27,6 +35,81 @@ def test_matrix_document_round_trip(rng):
     M = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     again = parse_matrix_document(json.loads(format_matrix_document(M)))
     assert np.array_equal(M, again)  # bit-identical
+
+
+# (data, takes the vectorised path): every [re, im] list the parser may meet
+PARSE_CASES = [
+    ([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]], True),
+    ([[5e-324, -2.2250738585072014e-308], [1e308, -1e-320]], True),
+    ([[1, 2], [-3, 0]], True),
+    ([[2**53 + 1, 0.5], [2**63 - 1, 0]], True),
+    ([[2**63, 0], [2**63 + 1025, 0.5]], True),
+    ([[2**63 + 1025, 1], [2**64 - 1, 0]], True),
+    ([[2**63 + 1025, 2**64 - 1]], False),  # uint64
+    ([[-(2**63) - 1, 0.5]], False),
+    ([[2**64, 0]], False),
+    ([[10**400, 0]], False),
+    ([[True, 0.5], [False, 1]], True),  # bools promoted to numbers
+    ([[True, False]], False),
+    ([["1.5", 0], [0, "-2e-3"]], False),
+    ([[None, 0]], False),
+    ([["a", 0]], False),
+    ([[0.5, 0], ["a", 0]], False),
+    (json.loads("[[1e400, 0]]"), False),
+    (json.loads("[[0, -1e400]]"), False),
+    ([[float("nan"), 0]], False),
+    ([[3]], False),
+    ([[0.5, 0], [3]], False),
+    ([[3, [4]]], False),
+    ([[1, 2, 3]], False),
+    ([{"re": 1, "im": 0}], False),
+    ([[0.5, 0], (0.5, 0)], False),  # a tuple is not a JSON pair
+    ([[1 + 2j, 0]], False),
+]
+
+
+def _parsed(parse, arg):
+    try:
+        return parse(arg)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@pytest.mark.parametrize("data, vectorised", PARSE_CASES)
+def test_vectorised_parse_matches_entry_loop(data, vectorised):
+    assert (_numeric_pairs(data) is not None) == vectorised
+    fast = _parsed(parse_matrix_document, {"rows": 1, "cols": len(data), "data": data})
+    loop = _parsed(_parse_entries, data)
+    if isinstance(loop, str):
+        assert fast == loop
+    else:
+        assert fast.dtype == loop.dtype == complex
+        assert fast.ravel().view(np.uint64).tolist() == loop.view(np.uint64).tolist()  # bitwise
+
+
+def _nested_pairs_document(M):
+    """The document as formatted with one [re, im] list per entry."""
+    pairs = np.stack((M.real, M.imag), -1).reshape(-1, 2).tolist()
+    return json.dumps({"rows": M.shape[0], "cols": M.shape[1], "data": pairs})
+
+
+def test_format_matches_nested_pairs(rng):
+    M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    M[0, 0], M[0, 1], M[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1e308)
+    M[2] = M[2].real  # real entries with +0.0 imaginary parts
+    assert format_matrix_document(M) == _nested_pairs_document(M)
+    real = np.diag([0.25, -0.0, 1.0])
+    assert format_matrix_document(real) == _nested_pairs_document(real.astype(complex))
+
+
+def test_spectrum_output_matches_nested_pairs(tmp_path, capsys):
+    X = np.array([[0.5, -0.0], [0.25j, -2.0]])
+    path = write_matrix(tmp_path / "x.json", X)
+    assert main(["spectrum", path]) == 0
+    values = exp_spectrum(X.astype(complex))
+    values = values[np.lexsort((values.imag, values.real))]
+    nested = np.stack((values.real, values.imag), -1).tolist()
+    assert capsys.readouterr().out == json.dumps(nested) + "\n"
 
 
 def test_entropy_von_neumann(tmp_path, capsys):
