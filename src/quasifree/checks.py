@@ -66,7 +66,8 @@ def _subset_products(q: np.ndarray) -> np.ndarray:
 
 def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     """The full symbol-versus-oracle suite at dimension d; channel checks run
-    for d <= 4 and Choi checks for d <= 3 (dense cost grows as 16^d)."""
+    for d <= 5 and Choi checks for d <= 4 (the Stinespring contractions cost
+    O(32^d), the dense Choi matrix 64^d)."""
     rng = np.random.default_rng(seed)
     results = []
 
@@ -133,7 +134,7 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
         dev_mix = max(dev_mix, float(np.abs(density_matrix(mix) - dense).max()))
     results.append(CheckResult("mixture-rank1-affine", dev_mix, 1e-9))
 
-    if d <= 4:
+    if d <= 5:
         dev_cov = dev_dual = dev_comp = dev_heis = 0.0
         kinds = ("lambda", "gamma")
         for t in range(trials):
@@ -166,7 +167,7 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
         results.append(CheckResult("channel-composition", dev_comp, 1e-10))
         results.append(CheckResult("heisenberg-state-vs-dense", dev_heis, 1e-8))
 
-    if d <= 3:
+    if d <= 4:
         dev_jam = dev_tr1 = dev_choi = 0.0
         n = 1 << d
         kinds = ("lambda", "gamma")

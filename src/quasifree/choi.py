@@ -34,12 +34,11 @@ from .errors import (
     SpectrumOutOfRange,
 )
 from .fock import (
+    _split_permutation,
     density_matrix,
     exp_element,
     fock_basis,
-    partial_trace,
     particle_hole_unitary,
-    split_isomorphism,
 )
 from .symbols import Symbol, _trusted_symbol, validate_symbol
 
@@ -175,8 +174,11 @@ def _oracle_pieces(channel: QuasiFreeChannel):
     root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
     root_right, _ = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
     V = np.block([[A, root_left], [-root_right, A.conj().T]])
-    U = split_isomorphism(d, d)
-    G = U @ exp_element(V) @ U.conj().T
+    EV = exp_element(V)
+    t = _split_permutation(d, d)
+    G = np.empty_like(EV)
+    G[np.ix_(t, t)] = EV  # U E(V) U*, U the split isomorphism
+    del EV
     if twisted:
         G = (particle_hole_unitary(d) @ G.reshape(1 << d, -1)).reshape(G.shape)
     rho_env = density_matrix(_environment_symbol(A, channel.B))
@@ -192,8 +194,12 @@ def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarr
     if x.shape != (n, n):
         raise DimensionMismatch(f"operator shape {x.shape}, expected {(n, n)}")
     G, rho_env = _oracle_pieces(channel)
-    M = G @ np.kron(x, np.eye(n)) @ G.conj().T
-    return partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)
+    # out[a,b] = sum rho_env[s,t] G[(a,t),(i,c)] x[i,j] conj G[(b,s),(j,c)],
+    # contracted one index pair at a time: O(n^5), no n^2 x n^2 products
+    Z = x.T @ G.reshape(n, n, n, n)  # [a,t,j,c]
+    Z = rho_env @ Z.reshape(n, n, n * n)  # [a,s,(j,c)]
+    np.conjugate(Z, out=Z)
+    return (Z.reshape(n, -1) @ G.reshape(n, -1).T).conj()
 
 
 def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.ndarray:
@@ -206,8 +212,14 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state shape {rho.shape}, expected {(n, n)}")
     G, rho_env = _oracle_pieces(channel)
-    M = G.conj().T @ np.kron(rho, rho_env) @ G
-    return partial_trace(M, (n, n), keep=0)
+    # out[i,j] = sum conj G[(a,s),(i,c)] rho[a,b] rho_env[s,t] G[(b,t),(j,c)],
+    # contracted one index pair at a time: O(n^5), no n^2 x n^2 products
+    Gt = G.reshape(n, n, n, n).transpose(2, 0, 1, 3).reshape(n, n, n * n)  # [i,a,(s,c)]
+    del G  # Gt is a copy
+    R = rho @ Gt  # [j,a,(t,c)]
+    R = rho_env @ R.reshape(n, n, n, n)  # [j,a,s,c]
+    np.conjugate(R, out=R)
+    return (Gt.reshape(n, -1) @ R.reshape(n, -1).T).conj()
 
 
 def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
@@ -220,11 +232,12 @@ def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
     G, rho_env = _oracle_pieces(channel)
     # C[(i,a),(j,b)] = [channel*(e_ij)]_{ab}
     #               = sum_{s,s',c} rho_env[s,s'] G[(a,s'),(i,c)] conj(G[(b,s),(j,c)])
-    G4 = G.reshape(n, n, n, n)
-    H = np.einsum("sp,bsjc->bpjc", rho_env, np.conj(G4), optimize=True)
-    left = G4.transpose(2, 0, 1, 3).reshape(n * n, n * n)
-    right = H.transpose(2, 0, 1, 3).reshape(n * n, n * n)
-    return left @ right.T  # rows (i,a), cols (j,b)
+    left = G.reshape(n, n, n, n).transpose(2, 0, 1, 3).reshape(n * n, n * n)
+    del G  # left[(i,a),(s,c)] = G[(a,s),(i,c)] is a copy; free G before the gemms
+    # right[(j,b),(s,c)] = sum_s' rho_env[s',s] conj G[(b,s'),(j,c)], conjugated in place
+    right = rho_env.conj().T @ left.reshape(n, n, n, n)
+    np.conjugate(right, out=right)
+    return left @ right.reshape(n * n, n * n).T  # rows (i,a), cols (j,b)
 
 
 def dense_jamiolkowski(channel: QuasiFreeChannel) -> np.ndarray:

@@ -55,9 +55,11 @@ def parse_matrix_document(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise ParseError("matrix document must be a JSON object")
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    except KeyError as exc:
         raise ParseError(f"matrix document missing/invalid field: {exc}") from exc
+    if type(rows) is not int or type(cols) is not int:  # not bool, float or str
+        raise ParseError(f"rows and cols must be JSON integers, got {rows!r} and {cols!r}")
     if rows < 1 or cols < 1:
         raise ParseError("rows and cols must be positive")
     if not isinstance(data, list) or len(data) != rows * cols:

@@ -18,6 +18,12 @@ Operators are plain (2^d, 2^d) complex ndarrays over this basis.  The basis
 also carries each subset as a bitmask (bit j set iff mode j is occupied),
 ``masks[i]``, and the inverse lookup ``position[mask]``, so that basis
 permutations and signs are array expressions rather than loops over subsets.
+
+Each builder costs what its nonzero structure costs.  E(X) is block diagonal
+by particle number, and its sector-k block is computed from the sector-(k-1)
+block by a Laplace expansion of the minors, with no determinants; density
+matrices are assembled sector by sector; the split isomorphism is a 0/1
+permutation, applied as an index.
 """
 
 from __future__ import annotations
@@ -110,10 +116,27 @@ def _occupation(d: int) -> np.ndarray:
     return occ
 
 
-def _creation_sign(subset: tuple, mode: int) -> int:
-    # moving the new factor past the occupied modes below it
-    crossings = sum(1 for j in subset if j < mode)
-    return -1 if crossings % 2 else 1
+@lru_cache(maxsize=None)
+def _laplace_tables(d: int) -> tuple:
+    """At index k = 1..d, the pair (modes, drop) of (C(d, k), k) index tables
+    of sector k; index 0 is None.
+
+    modes[K, j] is the j-th occupied mode of the sector-k subset K in ascending
+    order, and drop[K, j] the position of K minus that mode within sector k-1.
+    Removing modes[K, j] from K passes it over j lower modes, hence the sign
+    (-1)^j in every expansion that reads these tables.
+    """
+    basis = fock_basis(d)
+    occ = _occupation(d)
+    tables = [None]
+    for k in range(1, d + 1):
+        sl = basis.sector(k)
+        modes = np.nonzero(occ[sl])[1].reshape(-1, k)
+        removed = basis.masks[sl, None] ^ (1 << modes)
+        drop = basis.position[removed] - basis.sector(k - 1).start
+        modes.flags.writeable = drop.flags.writeable = False
+        tables.append((modes, drop))
+    return tuple(tables)
 
 
 def creation_operator(phi) -> np.ndarray:
@@ -145,19 +168,27 @@ def number_operator(d: int) -> np.ndarray:
     return np.diag(_occupation(d).sum(axis=1).astype(complex))
 
 
-def _sector_block(X: np.ndarray, subs: np.ndarray) -> np.ndarray:
-    """All minors det X[rows, cols] for rows, cols running over subs."""
-    C, k = subs.shape
-    if k == 1:
-        return X[np.ix_(subs[:, 0], subs[:, 0])]
-    block = np.empty((C, C), dtype=complex)
-    # chunk the row subsets so the stacked minor tensor stays ~100 MB
-    chunk = max(1, 4_000_000 // max(1, C * k * k))
-    for start in range(0, C, chunk):
-        rows = subs[start : start + chunk]
-        minors = X[rows[:, None, :, None], subs[None, :, None, :]]
-        block[start : start + chunk] = np.linalg.det(minors)
-    return block
+def _exp_blocks(X: np.ndarray):
+    """Yield the sector blocks E_0, E_1, ..., E_d of exp_element(X) in turn.
+
+    E_k[K, L] is the minor det X[K, L], expanded along its lowest column:
+    sum_j (-1)^j X[m_j, min L] E_{k-1}[K - m_j, L - min L], m_j the j-th mode
+    of K.  Only the previous block is kept.
+    """
+    prev = np.ones((1, 1), dtype=complex)
+    yield prev
+    for k, (modes, drop) in enumerate(_laplace_tables(X.shape[0])[1:], start=1):
+        lowest = X[:, modes[:, 0]]  # X[m, min L] for every column subset L
+        rest = prev[:, drop[:, 0]]  # E_{k-1}[., L - min L]
+        block = lowest[modes[:, 0]] * rest[drop[:, 0]]
+        for j in range(1, k):
+            term = lowest[modes[:, j]] * rest[drop[:, j]]
+            if j % 2:
+                block -= term
+            else:
+                block += term
+        prev = block
+        yield block
 
 
 def exp_element(X) -> np.ndarray:
@@ -166,6 +197,10 @@ def exp_element(X) -> np.ndarray:
     Sector-k matrix elements are the k x k minors of X; the sector-0 entry is
     1.  Satisfies the product law E(X)E(Y) = E(XY), E(X)* = E(X*),
     tr E(X) = det(1 + X), and positivity together with X.
+
+    Computed sector by sector with no determinants: each sector-k minor is
+    the Laplace expansion along its lowest column over sector-(k-1) minors,
+    through index tables cached per d.
     """
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -174,11 +209,9 @@ def exp_element(X) -> np.ndarray:
     _check_cap(d)
     basis = fock_basis(d)
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    out[0, 0] = 1.0
-    for k in range(1, d + 1):
-        subs = np.array(list(combinations(range(d), k)), dtype=np.intp)
+    for k, block in enumerate(_exp_blocks(X)):
         sl = basis.sector(k)
-        out[sl, sl] = _sector_block(X, subs)
+        out[sl, sl] = block
     return out
 
 
@@ -258,15 +291,20 @@ def density_matrix(Q: Symbol) -> np.ndarray:
     weighted by the products q_L = prod q (in L) * prod (1-q) (outside L).
     This stays well-defined for eigenvalues 0 and 1.  Equivalently
     E(V) diag(q_L) E(V)* for the eigenvector unitary V, which is how it is
-    evaluated here.
+    evaluated here, one particle-number sector at a time since E(V) is block
+    diagonal.
     """
     d = Q.dim
     _check_cap(d)
     w, V = np.linalg.eigh(Q.matrix)
     w = np.clip(w, 0.0, 1.0)
     weights = _subset_weights(w)
-    EV = exp_element(V)
-    return (EV * weights) @ EV.conj().T
+    basis = fock_basis(d)
+    rho = np.zeros((basis.size, basis.size), dtype=complex)
+    for k, block in enumerate(_exp_blocks(V)):
+        sl = basis.sector(k)
+        rho[sl, sl] = (block * weights[sl]) @ block.conj().T
+    return rho
 
 
 def is_elementary(phi, d: int, k: int) -> bool:
@@ -283,22 +321,30 @@ def is_elementary(phi, d: int, k: int) -> bool:
     phi = phi / norm
     if k == d:
         return True  # wedge map to the (empty) sector d+1 vanishes identically
-    subs_k = list(combinations(range(d), k))
-    index_up = {s: i for i, s in enumerate(combinations(range(d), k + 1))}
-    T = np.zeros((comb(d, k + 1), d), dtype=complex)
-    for row_idx, subset in enumerate(subs_k):
-        c = phi[row_idx]
-        if c == 0:
-            continue
-        occupied = set(subset)
-        for mode in range(d):
-            if mode in occupied:
-                continue
-            up = index_up[tuple(sorted(subset + (mode,)))]
-            T[up, mode] += _creation_sign(subset, mode) * c
-    sv = np.linalg.svd(T, compute_uv=False)
+    sv = np.linalg.svd(_wedge_map(phi, d, k), compute_uv=False)
     rank = int(np.count_nonzero(sv > ELEMENTARY_KERNEL_TOL))
     return d - rank == k
+
+
+def _wedge_map(phi: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Matrix of chi -> chi ^ phi from one-particle vectors to sector k+1:
+    T[U, m_j] = (-1)^j phi[U - m_j] over the sector-(k+1) subsets U."""
+    _check_cap(d)
+    modes, drop = _laplace_tables(d)[k + 1]
+    coeff = phi[drop]
+    coeff[:, 1::2] = -coeff[:, 1::2]
+    T = np.zeros((modes.shape[0], d), dtype=complex)
+    np.put_along_axis(T, modes, coeff, axis=1)
+    return T
+
+
+def _split_permutation(d1: int, d2: int) -> np.ndarray:
+    """The permutation t with split_isomorphism(d1, d2)[t[i], i] = 1: the
+    tensor index (first-block subset, second-block subset) of basis state i."""
+    _check_cap(d1 + d2)
+    masks = fock_basis(d1 + d2).masks
+    left, right = fock_basis(d1), fock_basis(d2)
+    return left.position[masks & (left.size - 1)] * right.size + right.position[masks >> d1]
 
 
 def split_isomorphism(d1: int, d2: int) -> np.ndarray:
@@ -311,14 +357,9 @@ def split_isomorphism(d1: int, d2: int) -> np.ndarray:
     precedes every second-block mode, that permutation is the identity and
     all entries are +1.
     """
-    _check_cap(d1 + d2)
-    masks = fock_basis(d1 + d2).masks
-    left, right = fock_basis(d1), fock_basis(d2)
-    tensor_idx = (
-        left.position[masks & (left.size - 1)] * right.size + right.position[masks >> d1]
-    )
-    U = np.zeros((masks.size, masks.size), dtype=complex)
-    U[tensor_idx, np.arange(masks.size)] = 1.0
+    t = _split_permutation(d1, d2)
+    U = np.zeros((t.size, t.size), dtype=complex)
+    U[t, np.arange(t.size)] = 1.0
     return U
 
 
@@ -343,8 +384,8 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     dev = np.abs(rho1 @ theta - theta @ rho1).max()
     if dev > EVEN_STATE_TOL:
         raise NotEvenState(f"max |[rho1, parity]| = {dev:.3e}")
-    U = split_isomorphism(d1, d2)
-    return U.conj().T @ np.kron(rho1, rho2) @ U
+    t = _split_permutation(d1, d2)
+    return np.kron(rho1, rho2)[np.ix_(t, t)]  # U* (rho1 (x) rho2) U
 
 
 def particle_hole_unitary(d: int) -> np.ndarray:

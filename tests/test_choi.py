@@ -27,6 +27,8 @@ from quasifree import (
     validate_symbol,
 )
 from quasifree.channels import cp_bound
+from quasifree.checks import run_oracle_checks
+from quasifree.choi import _oracle_pieces, _psd_sqrt_and_pinv_sqrt
 from quasifree.sampling import random_channel, random_symbol
 
 KINDS = ("lambda", "gamma")
@@ -236,3 +238,62 @@ def test_parity_twist_sign_is_unobservable(rng):
     W_flipped = -W
     assert np.abs(W @ rho @ W.conj().T - W_flipped @ rho @ W_flipped.conj().T).max() < 1e-14
     assert np.abs(stinespring_schrodinger(c, rho) - reference).max() < 1e-14
+
+
+def oracle_pieces_reference(c):
+    """The Stinespring rotation conjugated by the dense split isomorphism,
+    with the particle-hole unitary applied as a gemm for gamma."""
+    d = c.dim
+    A = np.conj(c.A) if c.kind == "gamma" else c.A
+    eye = np.eye(d)
+    root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
+    root_right, _ = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
+    EV = exp_element(np.block([[A, root_left], [-root_right, A.conj().T]]))
+    U = split_isomorphism(d, d)
+    G = U @ EV @ U.conj().T
+    if c.kind == "gamma":
+        G = (particle_hole_unitary(d) @ G.reshape(2**d, -1)).reshape(G.shape)
+    return G
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_rotation_is_split_conjugation(rng, kind):
+    for d in (1, 2, 3, 4):
+        c = random_channel(d, rng, kind)
+        G, _ = _oracle_pieces(c)
+        assert np.array_equal(G, oracle_pieces_reference(c))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stinespring_contractions_match_kron_forms(rng, kind):
+    for d in (1, 2, 3):
+        n = 2**d
+        c = random_channel(d, rng, kind)
+        G, rho_env = _oracle_pieces(c)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = G @ np.kron(x, np.eye(n)) @ G.conj().T
+        heis = partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)
+        assert np.abs(stinespring_heisenberg(c, x) - heis).max() < 1e-14
+        rho = density_matrix(random_symbol(d, rng))
+        schr = partial_trace(G.conj().T @ np.kron(rho, rho_env) @ G, (n, n), keep=0)
+        assert np.abs(stinespring_schrodinger(c, rho) - schr).max() < 1e-14
+        # C[(i,a),(j,b)] = [channel*(e_ij)]_ab, one Heisenberg image per unit
+        choi = np.zeros((n, n, n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                e_ij = np.zeros((n, n))
+                e_ij[i, j] = 1.0
+                M = G @ np.kron(e_ij, np.eye(n)) @ G.conj().T
+                choi[i, :, j, :] = partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)
+        assert np.abs(dense_choi(c) - choi.reshape(n * n, n * n)).max() < 1e-14
+
+
+def test_oracle_checks_reach_channels_at_five_and_choi_at_four():
+    channel = {"channel-covariance", "channel-duality", "channel-composition",
+               "heisenberg-state-vs-dense"}
+    choi = {"jamiolkowski-spectrum", "choi-partial-trace", "choi-spectrum"}
+    for d, expected in ((5, channel), (4, channel | choi)):
+        results = {r.name: r for r in run_oracle_checks(d, 2, seed=11)}
+        assert expected <= set(results)
+        assert all(r.passed for r in results.values()), [r for r in results.values() if not r.passed]
+    assert not choi & {r.name for r in run_oracle_checks(5, 1, seed=11)}

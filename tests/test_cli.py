@@ -160,6 +160,28 @@ def test_non_numeric_entries_are_parse_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: entry 0 is not a pair of numbers")
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(2.7, 1.9), (2.0, 1), (1, 1.0), (True, "1"), (True, 1), (1, False), ("1", 1), (None, 1),
+     ([1], 1), (float("inf"), 1)],
+)
+def test_non_integer_header_is_parse_error(tmp_path, capsys, rows, cols):
+    doc = {"rows": rows, "cols": cols, "data": [[0.5, 0], [0.25, 0]]}
+    with pytest.raises(ParseError, match="rows and cols must be JSON integers"):
+        parse_matrix_document(doc)
+    path = tmp_path / "header.json"
+    path.write_text(json.dumps(doc))
+    assert main(["entropy", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: rows and cols must be JSON integers")
+
+
+def test_integer_header_still_parses():
+    M = parse_matrix_document({"rows": 2, "cols": 1, "data": [[0.5, 0], [0.25, -0.0]]})
+    assert M.shape == (2, 1) and np.array_equal(M.ravel(), [0.5, 0.25])
+    with pytest.raises(ParseError, match="rows\\*cols"):
+        parse_matrix_document({"rows": 10**400, "cols": 1, "data": [[0.5, 0]]})
+
+
 def test_linalg_failure_exit_code(tmp_path, capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 from conftest import brute_subset_products, random_density
@@ -23,6 +26,7 @@ from quasifree import (
     validate_symbol,
     wedge_state_product,
 )
+from quasifree.fock import _subset_weights, _wedge_map
 from quasifree.sampling import random_symbol
 
 
@@ -111,6 +115,35 @@ def test_exp_direct_sum_factorizes(rng):
     assert np.abs(lhs - np.kron(exp_element(X1), exp_element(X2))).max() < 1e-10
 
 
+def minors_reference(X):
+    """exp_element by its definition: every k x k minor det X[K, L] as a
+    determinant, zero between sectors."""
+    d = X.shape[0]
+    subsets = [s for k in range(d + 1) for s in combinations(range(d), k)]
+    E = np.zeros((2**d, 2**d), dtype=complex)
+    for r, K in enumerate(subsets):
+        for c, L in enumerate(subsets):
+            if len(K) == len(L):
+                E[r, c] = np.linalg.det(X[np.ix_(K, L)]) if K else 1.0
+    return E
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_exp_element_matches_determinant_minors(rng, d):
+    full = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    low_rank = full[:, : max(1, d // 2)] @ full[: max(1, d // 2), :]
+    cases = [full, rng.standard_normal((d, d)), low_rank, np.zeros((d, d))]
+    sizes = [comb(d, k) for k in range(d + 1)]
+    in_sector = np.repeat(np.arange(d + 1), sizes)
+    off_sector = in_sector[:, None] != in_sector[None, :]
+    for X in cases:
+        E = exp_element(X)
+        ref = minors_reference(X)
+        # vanishing minors of the low-rank X cancel terms of size |E|
+        assert np.abs(E - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.all(E[off_sector] == 0.0)
+
+
 def test_exp_spectrum_examples():
     got = np.sort(exp_spectrum(np.diag([2.0, 3.0])).real)
     assert np.allclose(got, [1, 2, 3, 6])
@@ -193,6 +226,41 @@ def test_density_matches_det_exp_form(rng):
         X = Q.matrix @ np.linalg.inv(eye - Q.matrix)
         alt = np.linalg.det(eye - Q.matrix).real * exp_element(X)
         assert np.abs(alt - density_matrix(Q)).max() < 1e-9
+
+
+def test_density_matches_full_eigenform(rng):
+    # the per-sector assembly equals E(V) diag(q_L) E(V)* taken over the full space
+    for d in (1, 2, 3, 4, 5, 6):
+        for lo, hi in ((0.05, 0.95), (0.0, 1.0)):
+            Q = random_symbol(d, rng, lo, hi)
+            w, V = np.linalg.eigh(Q.matrix)
+            EV = exp_element(V)
+            full = (EV * _subset_weights(np.clip(w, 0.0, 1.0))) @ EV.conj().T
+            assert np.abs(density_matrix(Q) - full).max() < 1e-14
+    pure = validate_symbol(np.diag([1.0, 0.0, 1.0]))
+    expect = np.zeros((8, 8))
+    expect[5, 5] = 1.0  # modes {0, 2} occupied
+    assert np.abs(density_matrix(pure) - expect).max() < 1e-15
+
+
+def wedge_map_reference(phi, d, k):
+    """chi -> chi ^ phi built one subset and mode at a time."""
+    index_up = {s: i for i, s in enumerate(combinations(range(d), k + 1))}
+    T = np.zeros((comb(d, k + 1), d), dtype=complex)
+    for row, subset in enumerate(combinations(range(d), k)):
+        for mode in set(range(d)) - set(subset):
+            sign = -1 if sum(1 for j in subset if j < mode) % 2 else 1
+            T[index_up[tuple(sorted(subset + (mode,)))], mode] += sign * phi[row]
+    return T
+
+
+def test_wedge_map_matches_subset_loop(rng):
+    for d in range(1, 8):
+        for k in range(d):
+            n = comb(d, k)
+            phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            phi[rng.integers(n)] = 0.0
+            assert np.array_equal(_wedge_map(phi, d, k), wedge_map_reference(phi, d, k))
 
 
 def test_elementary_sector_one(rng):
@@ -299,6 +367,15 @@ def test_wedge_state_product_trace_and_marginals(rng):
     tensor = U @ out @ U.conj().T
     assert np.abs(partial_trace(tensor, (4, 4), keep=0) - rho1).max() < 1e-12
     assert np.abs(partial_trace(tensor, (4, 4), keep=1) - rho2).max() < 1e-12
+
+
+def test_wedge_state_product_is_split_conjugation(rng):
+    for d1, d2 in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 2)):
+        rho1 = density_matrix(random_symbol(d1, rng))
+        rho2 = random_density(2**d2, rng)
+        U = split_isomorphism(d1, d2)
+        expect = U.conj().T @ np.kron(rho1, rho2) @ U
+        assert np.array_equal(wedge_state_product(rho1, rho2), expect)
 
 
 def test_wedge_state_product_rejects_odd_first_factor():
