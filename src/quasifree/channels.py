@@ -34,7 +34,7 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _trusted_symbol, validate_symbol
+from .symbols import Symbol, _nonempty_finite, _trusted_symbol, validate_symbol
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
@@ -93,7 +93,7 @@ def _square_pair(A, B):
         raise DimensionMismatch(f"A must be square, got shape {A.shape}")
     if B.shape != A.shape:
         raise DimensionMismatch(f"A and B shapes differ: {A.shape} vs {B.shape}")
-    return A, B
+    return _nonempty_finite(A, "A"), _nonempty_finite(B, "B")
 
 
 def _min_eig(H: np.ndarray) -> float:
@@ -115,8 +115,6 @@ def _certified_psd(H: np.ndarray, tol: float) -> bool:
     holds when L is spread thinly enough (||L||_1 ||L||_inf small).
     """
     n = H.shape[0]
-    if n == 0:
-        return False
     half = tol / 2.0
     try:
         L = np.linalg.cholesky((H + H.conj().T) / 2.0 + half * np.eye(n))
@@ -162,7 +160,7 @@ def new_channel(kind: str, A, B, tol: float = CP_TOL) -> QuasiFreeChannel:
     if kind not in (KIND_LAMBDA, KIND_GAMMA):
         raise InvalidArgument(f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {kind!r}")
     A, B = _square_pair(A, B)
-    herm_dev = np.abs(B - B.conj().T).max() if B.size else 0.0
+    herm_dev = np.abs(B - B.conj().T).max()
     if herm_dev > tol:
         raise NotCompletelyPositive(
             f"B must be Hermitian; max |B - B*| = {herm_dev:.3e}"
@@ -311,7 +309,7 @@ def compose(c2: QuasiFreeChannel, c1: QuasiFreeChannel) -> QuasiFreeChannel:
 
 def _numerical_rank(A: np.ndarray) -> int:
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
+    if sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
@@ -332,7 +330,7 @@ def classify_affine_map(m: AffineSymbolMap, tol: float = CP_TOL) -> str:
     A, B = _square_pair(m.A, m.B)
     if m.sign not in (1, -1):
         raise InvalidArgument(f"sign must be +1 or -1, got {m.sign}")
-    if B.size and np.abs(B - B.conj().T).max() > tol:
+    if np.abs(B - B.conj().T).max() > tol:
         return "NotCP"
     canonical = (m.sign == 1) != bool(m.transpose_input)
     if not canonical and _numerical_rank(A) > 1:

@@ -11,11 +11,13 @@ and contract the second half against the quasi-free environment state whose
 symbol reproduces B through B = sqrt(1 - A*A) Q' sqrt(1 - A*A).  The rotation
 direction (conjugate by E(V), not E(V)*) is the one under which the trace
 duality with the Schrodinger action holds; it is frozen here and enforced by
-the test suite.  Gamma-kind channels route through the lambda channel with
-conjugated A composed with the particle-hole automorphism; one helper,
-:func:`_oracle_pieces`, does that routing with the dense particle-hole
-unitary, independently of the symbol-side twist it checks, by folding the
-unitary into the rotation once.
+the test suite.  The environment state E(W) diag(p) E(W)* is never formed:
+E is multiplicative, so :func:`_kraus_factor` folds E(W)* into the rotation
+once and every action takes the Kraus form channel*(x) = sum K x K*.
+Gamma-kind channels route through the lambda channel with conjugated A
+composed with the particle-hole automorphism, a signed reversal of the Fock
+basis that the factor applies as an index, independently of the symbol-side
+twist it checks.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KIND_GAMMA, QuasiFreeChannel, _as_lambda, checked_det, checked_inverse
+from .channels import QuasiFreeChannel, _as_lambda, checked_det, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -34,13 +36,13 @@ from .errors import (
     SpectrumOutOfRange,
 )
 from .fock import (
+    _particle_hole_signs,
     _split_permutation,
-    density_matrix,
+    _subset_weights,
     exp_element,
     fock_basis,
-    particle_hole_unitary,
 )
-from .symbols import Symbol, _trusted_symbol, validate_symbol
+from .symbols import Symbol, _trusted_symbol, eigenbasis, validate_symbol
 
 DENSE_CHOI_CAP = 6
 B_COND_MAX = 1e12
@@ -143,10 +145,8 @@ def _psd_sqrt_and_pinv_sqrt(H: np.ndarray):
     return (V * root) @ V.conj().T, (V * inv_root) @ V.conj().T
 
 
-def _environment_symbol(A: np.ndarray, B: np.ndarray) -> Symbol:
-    eye = np.eye(A.shape[0])
-    S = eye - A.conj().T @ A
-    root, pinv_root = _psd_sqrt_and_pinv_sqrt(S)
+def _environment_symbol(root: np.ndarray, pinv_root: np.ndarray, B: np.ndarray) -> Symbol:
+    """Q' with B = root Q' root, for root = sqrt(1 - A*A) and its pseudo-inverse."""
     Qp = pinv_root @ B @ pinv_root
     Qp = (Qp + Qp.conj().T) / 2.0
     if np.abs(root @ Qp @ root - B).max() > ENV_SYMBOL_TOL:
@@ -159,30 +159,32 @@ def _environment_symbol(A: np.ndarray, B: np.ndarray) -> Symbol:
         raise InconsistentB(str(exc)) from exc
 
 
-def _oracle_pieces(channel: QuasiFreeChannel):
-    """Stinespring rotation G (tensor coordinates over Fock(d) x Fock(d)) and
-    environment density matrix.
+def _kraus_factor(channel: QuasiFreeChannel) -> np.ndarray:
+    """K[a, L, i, c] with channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*.
 
-    gamma(A, B) is lambda(conj A, B) after rho -> W* rho W, W the
-    particle-hole unitary.  W (x) 1 commutes with 1 (x) rho_env, so that
-    twist is the lambda realization with G replaced by (W (x) 1) G.
+    The environment state is E(W) diag(p) E(W)*, W the eigenvectors of its
+    symbol and p their subset weights; 1 (x) E(W)* = U E(1 + W*) U* under the
+    split isomorphism U, so K is the rotation by
+    V' = [[A, sqrt(1-AA*)], [-W* sqrt(1-A*A), W* A*]] with index L scaled by
+    sqrt(p_L).  gamma(A, B) is lambda(conj A, B) after rho -> P* rho P, so its
+    factor is (P (x) 1) K, P the particle-hole unitary.
     """
     d = channel.dim
-    twisted = channel.kind == KIND_GAMMA
-    A = np.conj(channel.A) if twisted else channel.A
+    n = 1 << d
+    A, B, twisted = _as_lambda(channel)
     eye = np.eye(d)
     root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
-    root_right, _ = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
-    V = np.block([[A, root_left], [-root_right, A.conj().T]])
-    EV = exp_element(V)
+    root_right, pinv_right = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
+    w, W = eigenbasis(_environment_symbol(root_right, pinv_right, B))
+    Wh = W.conj().T
+    V = np.block([[A, root_left], [-Wh @ root_right, Wh @ A.conj().T]])
     t = _split_permutation(d, d)
-    G = np.empty_like(EV)
-    G[np.ix_(t, t)] = EV  # U E(V) U*, U the split isomorphism
-    del EV
+    K = np.empty((n, n, n, n), dtype=complex)
+    K.reshape(n * n, n * n)[np.ix_(t, t)] = exp_element(V)  # U E(V') U*
+    K *= np.sqrt(_subset_weights(w))[:, None, None]
     if twisted:
-        G = (particle_hole_unitary(d) @ G.reshape(1 << d, -1)).reshape(G.shape)
-    rho_env = density_matrix(_environment_symbol(A, channel.B))
-    return G, rho_env
+        K = K[::-1] * _particle_hole_signs(d)[::-1, None, None, None]
+    return K
 
 
 def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarray:
@@ -193,13 +195,11 @@ def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarr
     x = np.asarray(x, dtype=complex)
     if x.shape != (n, n):
         raise DimensionMismatch(f"operator shape {x.shape}, expected {(n, n)}")
-    G, rho_env = _oracle_pieces(channel)
-    # out[a,b] = sum rho_env[s,t] G[(a,t),(i,c)] x[i,j] conj G[(b,s),(j,c)],
-    # contracted one index pair at a time: O(n^5), no n^2 x n^2 products
-    Z = x.T @ G.reshape(n, n, n, n)  # [a,t,j,c]
-    Z = rho_env @ Z.reshape(n, n, n * n)  # [a,s,(j,c)]
-    np.conjugate(Z, out=Z)
-    return (Z.reshape(n, -1) @ G.reshape(n, -1).T).conj()
+    K = _kraus_factor(channel)
+    # out[a,b] = sum K[a,L,i,c] x[i,j] conj K[b,L,j,c]: two O(n^5) gemms
+    Y = x.T @ K  # [a,L,j,c]
+    np.conjugate(Y, out=Y)
+    return (Y.reshape(n, -1) @ K.reshape(n, -1).T).conj()
 
 
 def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.ndarray:
@@ -211,15 +211,11 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state shape {rho.shape}, expected {(n, n)}")
-    G, rho_env = _oracle_pieces(channel)
-    # out[i,j] = sum conj G[(a,s),(i,c)] rho[a,b] rho_env[s,t] G[(b,t),(j,c)],
-    # contracted one index pair at a time: O(n^5), no n^2 x n^2 products
-    Gt = G.reshape(n, n, n, n).transpose(2, 0, 1, 3).reshape(n, n, n * n)  # [i,a,(s,c)]
-    del G  # Gt is a copy
-    R = rho @ Gt  # [j,a,(t,c)]
-    R = rho_env @ R.reshape(n, n, n, n)  # [j,a,s,c]
+    # out[i,j] = sum conj K[a,L,i,c] rho[a,b] K[b,L,j,c]: two O(n^5) gemms
+    Kt = _kraus_factor(channel).transpose(2, 0, 1, 3).reshape(n, n, n * n)  # [i,a,(L,c)]
+    R = rho @ Kt  # [j,a,(L,c)]
     np.conjugate(R, out=R)
-    return (Gt.reshape(n, -1) @ R.reshape(n, -1).T).conj()
+    return (Kt.reshape(n, -1) @ R.reshape(n, -1).T).conj()
 
 
 def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
@@ -229,15 +225,9 @@ def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    G, rho_env = _oracle_pieces(channel)
-    # C[(i,a),(j,b)] = [channel*(e_ij)]_{ab}
-    #               = sum_{s,s',c} rho_env[s,s'] G[(a,s'),(i,c)] conj(G[(b,s),(j,c)])
-    left = G.reshape(n, n, n, n).transpose(2, 0, 1, 3).reshape(n * n, n * n)
-    del G  # left[(i,a),(s,c)] = G[(a,s),(i,c)] is a copy; free G before the gemms
-    # right[(j,b),(s,c)] = sum_s' rho_env[s',s] conj G[(b,s'),(j,c)], conjugated in place
-    right = rho_env.conj().T @ left.reshape(n, n, n, n)
-    np.conjugate(right, out=right)
-    return left @ right.reshape(n * n, n * n).T  # rows (i,a), cols (j,b)
+    # C[(i,a),(j,b)] = [channel*(e_ij)]_ab = sum_{L,c} K[a,L,i,c] conj K[b,L,j,c]
+    M = _kraus_factor(channel).transpose(2, 0, 1, 3).reshape(n * n, n * n)
+    return M @ M.conj().T
 
 
 def dense_jamiolkowski(channel: QuasiFreeChannel) -> np.ndarray:

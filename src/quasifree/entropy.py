@@ -20,9 +20,9 @@ KERNEL_INCLUSION_TOL = 1e-8
 
 def renyi_entropy(Q: Symbol, p: float) -> float:
     """Renyi entropy of order p: sum of log((1-q)^p + q^p) / (1-p) over the
-    symbol eigenvalues.  p must be positive and different from 1; use
-    :func:`von_neumann_entropy` for the p -> 1 limit."""
-    if p <= 0.0 or p == 1.0:
+    symbol eigenvalues.  p must be positive, finite and different from 1;
+    use :func:`von_neumann_entropy` for the p -> 1 limit."""
+    if not 0.0 < p < np.inf or p == 1.0:
         raise InvalidOrder(f"Renyi order must be in (0,1) or (1,inf), got {p}")
     q = Q.eigenvalues
     return float(np.sum(np.log((1.0 - q) ** p + q**p)) / (1.0 - p))

@@ -77,4 +77,4 @@ class InvalidArgument(QuasifreeError, ValueError):
 
 
 class InvalidOrder(QuasifreeError):
-    """Renyi order must be positive and different from 1."""
+    """Renyi order must be positive, finite and different from 1."""

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     DimensionCap,
     DimensionMismatch,
+    InvalidArgument,
     NotEvenState,
     NotOrthonormal,
     ZeroVector,
@@ -310,6 +311,8 @@ def density_matrix(Q: Symbol) -> np.ndarray:
 def is_elementary(phi, d: int, k: int) -> bool:
     """True iff the sector-k vector phi is a single wedge of k one-particle
     vectors, decided by the dimension of {chi : chi ^ phi = 0} being k."""
+    if d < 0 or k < 0:
+        raise InvalidArgument(f"mode number and sector must be >= 0, got d={d}, k={k}")
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if phi.shape[0] != comb(d, k):
         raise DimensionMismatch(
@@ -388,26 +391,29 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     return np.kron(rho1, rho2)[np.ix_(t, t)]  # U* (rho1 (x) rho2) U
 
 
+def _particle_hole_signs(d: int) -> np.ndarray:
+    """(-1)^sum_{j in L} (d-1-j), times (-1)^(d-|L|) when d is even, per state L."""
+    occ = _occupation(d)
+    exponent = (occ * np.arange(d - 1, -1, -1)).sum(axis=1)
+    if d % 2 == 0:
+        exponent += d - occ.sum(axis=1)
+    return (-1.0) ** exponent
+
+
 def particle_hole_unitary(d: int) -> np.ndarray:
     """Unitary implementing the particle-hole automorphism a(phi) -> a*(conj phi).
 
     Product of the self-adjoint unitaries a*(e_i) + a(e_i), i = 0, ..., d-1,
     with one parity factor when d is even so that conjugation sends each a_i
-    exactly to a_i* (the bare product picks up (-1)^(d-1)).  That product is
-    the signed permutation L -> complement of L with sign
-    (-1)^sum_{j in L} (d-1-j), times (-1)^(d-|L|) when d is even, which is
-    how it is built here.
+    exactly to a_i* (the bare product picks up (-1)^(d-1)).  That product
+    sends L to its complement with the sign :func:`_particle_hole_signs`, and
+    complementing reverses the basis order, so it is built as those signs on
+    the anti-diagonal.
     """
     _check_cap(d)
-    basis = fock_basis(d)
-    occ = _occupation(d)
-    exponent = (occ * np.arange(d - 1, -1, -1)).sum(axis=1)
-    if d % 2 == 0:
-        exponent += d - occ.sum(axis=1)
-    W = np.zeros((basis.size, basis.size), dtype=complex)
-    W[basis.position[basis.masks ^ (basis.size - 1)], np.arange(basis.size)] = (
-        (-1.0) ** exponent
-    )
+    n = 1 << d
+    W = np.zeros((n, n), dtype=complex)
+    W[np.arange(n - 1, -1, -1), np.arange(n)] = _particle_hole_signs(d)
     return W
 
 
@@ -425,7 +431,7 @@ def partial_trace(M: np.ndarray, dims: tuple, keep: int) -> np.ndarray:
         return np.einsum("abcb->ac", T)
     if keep == 1:
         return np.einsum("abad->bd", T)
-    raise ValueError("keep must be 0 or 1")
+    raise InvalidArgument(f"keep must be 0 or 1, got {keep!r}")
 
 
 def _modes_of(op: np.ndarray) -> int:

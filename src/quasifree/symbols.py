@@ -68,6 +68,15 @@ def _as_square(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+    return _nonempty_finite(M, "matrix")
+
+
+def _nonempty_finite(M: np.ndarray, name: str) -> np.ndarray:
+    """M itself, once it has positive dimension and only finite entries."""
+    if M.size == 0:
+        raise DimensionMismatch(f"{name} must have positive dimension, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise InvalidArgument(f"{name} has non-finite entries")
     return M
 
 
@@ -96,7 +105,7 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     and clamped away.
     """
     M = _as_square(M)
-    herm_dev = np.abs(M - M.conj().T).max() if M.size else 0.0
+    herm_dev = np.abs(M - M.conj().T).max()
     if herm_dev > tol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     H = (M + M.conj().T) / 2.0

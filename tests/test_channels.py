@@ -41,6 +41,31 @@ def test_new_channel_examples():
     new_channel("lambda", np.sqrt(0.5) * np.eye(2), 0.5 * np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", KINDS)
+def test_new_channel_rejects_non_finite_entries(kind, bad):
+    A, B = 0.5 * np.eye(2), 0.25 * np.eye(2)
+    for name, args in (("A", (np.where(A, bad, 0.0), B)), ("B", (A, np.where(B, bad, 0.0)))):
+        with pytest.raises(InvalidArgument, match=f"{name} has non-finite"):
+            new_channel(kind, *args)
+
+
+def test_new_channel_rejects_empty_matrices():
+    with pytest.raises(DimensionMismatch, match="positive dimension"):
+        new_channel("lambda", np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+def test_classify_rejects_non_finite_and_empty():
+    A, B = 0.5 * np.eye(2), 0.25 * np.eye(2)
+    for sign, transpose in ((1, False), (-1, True)):
+        with pytest.raises(InvalidArgument):
+            classify_affine_map(AffineSymbolMap(sign, transpose, A, np.full((2, 2), np.nan)))
+        with pytest.raises(InvalidArgument):
+            classify_affine_map(AffineSymbolMap(sign, transpose, np.full((2, 2), np.inf), B))
+        with pytest.raises(DimensionMismatch):
+            classify_affine_map(AffineSymbolMap(sign, transpose, np.zeros((0, 0)), np.zeros((0, 0))))
+
+
 def test_new_channel_rejects_non_hermitian_b():
     with pytest.raises(NotCompletelyPositive):
         new_channel("lambda", np.zeros((2, 2)), np.array([[0.0, 0.1], [0.0, 0.0]]))

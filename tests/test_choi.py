@@ -28,7 +28,7 @@ from quasifree import (
 )
 from quasifree.channels import cp_bound
 from quasifree.checks import run_oracle_checks
-from quasifree.choi import _oracle_pieces, _psd_sqrt_and_pinv_sqrt
+from quasifree.choi import _environment_symbol, _kraus_factor, _psd_sqrt_and_pinv_sqrt
 from quasifree.sampling import random_channel, random_symbol
 
 KINDS = ("lambda", "gamma")
@@ -242,26 +242,35 @@ def test_parity_twist_sign_is_unobservable(rng):
 
 def oracle_pieces_reference(c):
     """The Stinespring rotation conjugated by the dense split isomorphism,
-    with the particle-hole unitary applied as a gemm for gamma."""
+    with the particle-hole unitary applied as a gemm for gamma, and the dense
+    environment density matrix."""
     d = c.dim
     A = np.conj(c.A) if c.kind == "gamma" else c.A
     eye = np.eye(d)
     root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
-    root_right, _ = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
+    root_right, pinv_right = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
     EV = exp_element(np.block([[A, root_left], [-root_right, A.conj().T]]))
     U = split_isomorphism(d, d)
     G = U @ EV @ U.conj().T
     if c.kind == "gamma":
         G = (particle_hole_unitary(d) @ G.reshape(2**d, -1)).reshape(G.shape)
-    return G
+    rho_env = density_matrix(_environment_symbol(root_right, pinv_right, c.B))
+    return G, rho_env
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_oracle_rotation_is_split_conjugation(rng, kind):
+    # the Kraus factor folds the environment state into the split-conjugated
+    # rotation: sum_L K[a,L,m] conj K[b,L,m] = sum rho_env[s,t] G[a,t,m] conj G[b,s,m]
     for d in (1, 2, 3, 4):
+        n = 2**d
         c = random_channel(d, rng, kind)
-        G, _ = _oracle_pieces(c)
-        assert np.array_equal(G, oracle_pieces_reference(c))
+        G, rho_env = oracle_pieces_reference(c)
+        G = G.reshape(n, n, n * n)
+        K = _kraus_factor(c).reshape(n, n, n * n)
+        lhs = np.einsum("alm,blm->abm", K, K.conj())
+        rhs = np.einsum("st,atm,bsm->abm", rho_env, G, G.conj())
+        assert np.abs(lhs - rhs).max() < 1e-14
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -269,7 +278,7 @@ def test_stinespring_contractions_match_kron_forms(rng, kind):
     for d in (1, 2, 3):
         n = 2**d
         c = random_channel(d, rng, kind)
-        G, rho_env = _oracle_pieces(c)
+        G, rho_env = oracle_pieces_reference(c)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         M = G @ np.kron(x, np.eye(n)) @ G.conj().T
         heis = partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)

@@ -136,7 +136,9 @@ def test_entropy_error_codes(tmp_path, capsys):
     ok = write_matrix(tmp_path / "ok.json", np.array([[0.5]]))
     assert main(["entropy", ok, "--p", "1"]) == 4
     assert main(["entropy", ok, "--p", "-2"]) == 4
-    capsys.readouterr()
+    for p in ("nan", "inf", "-inf"):
+        assert main(["entropy", ok, f"--p={p}"]) == 4
+    assert "Renyi order" in capsys.readouterr().err
 
 
 def test_relent(tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_renyi_two_mode_frozen():
 
 def test_renyi_invalid_orders():
     Q = sym([0.5])
-    for p in (1.0, 0.0, -2.0):
+    for p in (1.0, 0.0, -2.0, np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidOrder):
             renyi_entropy(Q, p)
 

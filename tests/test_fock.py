@@ -7,6 +7,7 @@ from conftest import brute_subset_products, random_density
 
 from quasifree import (
     DimensionCap,
+    InvalidArgument,
     NotEvenState,
     NotOrthonormal,
     ZeroVector,
@@ -286,6 +287,16 @@ def test_elementary_top_sector():
     assert is_elementary(np.array([2.0]), 3, 3)
 
 
+def test_elementary_negative_sector_is_typed():
+    with pytest.raises(InvalidArgument):
+        is_elementary(np.array([1.0]), 3, -1)
+
+
+def test_partial_trace_bad_factor_is_typed():
+    with pytest.raises(InvalidArgument):
+        partial_trace(np.eye(4), (2, 2), keep=2)
+
+
 def test_split_isomorphism_one_one():
     U = split_isomorphism(1, 1)
     expect = np.zeros((4, 4))
@@ -400,6 +411,14 @@ def test_particle_hole_unitary():
         for i in range(d):
             a = creation_operator(basis_vector(d, i)).conj().T
             assert np.abs(W @ a @ W.conj().T - creation_operator(basis_vector(d, i))).max() < 1e-12
+
+
+def test_complement_reverses_basis_order():
+    # particle_hole_unitary and the oracle's gamma twist rest on this
+    for d in range(15):
+        basis = fock_basis(d)
+        n = basis.size
+        assert np.array_equal(basis.position[basis.masks ^ (n - 1)], n - 1 - np.arange(n))
 
 
 def test_oracle_cap_refusal():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from quasifree import (
+    DimensionMismatch,
+    InvalidArgument,
     NotHermitian,
     NotQuasiFreeMixture,
     SpectrumOutOfRange,
@@ -28,6 +30,18 @@ def test_validate_rejects_non_hermitian():
 def test_validate_rejects_out_of_range_spectrum():
     with pytest.raises(SpectrumOutOfRange):
         validate_symbol(np.diag([1.2, 0.3]), tol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_validate_rejects_non_finite_entries(bad):
+    for M in ([[bad]], [[0.5, 0.0], [0.0, bad]]):
+        with pytest.raises(InvalidArgument, match="non-finite"):
+            validate_symbol(M)
+
+
+def test_validate_rejects_empty_matrix():
+    with pytest.raises(DimensionMismatch, match="positive dimension"):
+        validate_symbol(np.zeros((0, 0)))
 
 
 def test_validate_clamps_dust():
