@@ -34,7 +34,7 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _nonempty_finite, _trusted_symbol, validate_symbol
+from .symbols import Symbol, _finite, _nonempty_finite, _trusted_symbol, validate_symbol
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
@@ -273,7 +273,7 @@ def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:
     X = np.asarray(X, dtype=complex)
     if X.shape != (channel.dim, channel.dim):
         raise DimensionMismatch(f"X shape {X.shape} vs channel dim {channel.dim}")
-    return _heisenberg(channel, np.eye(channel.dim), X)
+    return _heisenberg(channel, np.eye(channel.dim), _finite(X, "X"))
 
 
 def apply_heisenberg_state(channel: QuasiFreeChannel, Q: Symbol) -> ScaledExponential:
@@ -318,27 +318,26 @@ def classify_affine_map(m: AffineSymbolMap, tol: float = CP_TOL) -> str:
     """Decide whether the affine symbol map extends to a completely positive
     state map; returns "CP" or "NotCP".
 
-    The two canonical forms carry the eigenvalue tests 0 <= B <= 1 - A*A
-    (sign +, no transpose) and A*A <= B <= 1 (sign -, transpose).  The two
-    remaining (sign, transpose) combinations are congruences composed with a
-    bare transpose; the transpose can be absorbed by conjugating the factors
+    The two canonical forms carry the CP tests 0 <= B <= 1 - A*A (sign +, no
+    transpose) and A*A <= B <= 1 (sign -, transpose).  The two remaining
+    (sign, transpose) combinations are congruences composed with a bare
+    transpose; the transpose can be absorbed by conjugating the factors
     exactly when A has rank <= 1 (write A = w u*, so that the quadratic part
     is <conj w, Q conj w> u u* resp. <w, Q w> u u*, a rank-one congruence of
     the untransposed or transposed canonical form with the same A*A).  For
     rank(A) >= 2 no rewriting exists and the map is never CP.
+    Both tests are :func:`new_channel`'s, of lambda(A, B) and lambda(A, B - A*A).
     """
     A, B = _square_pair(m.A, m.B)
     if m.sign not in (1, -1):
         raise InvalidArgument(f"sign must be +1 or -1, got {m.sign}")
-    if np.abs(B - B.conj().T).max() > tol:
-        return "NotCP"
     canonical = (m.sign == 1) != bool(m.transpose_input)
     if not canonical and _numerical_rank(A) > 1:
         return "NotCP"
-    eye = np.eye(A.shape[0])
-    gram = A.conj().T @ A
-    if m.sign == 1:
-        ok = _min_eig(B) >= -tol and _min_eig(eye - gram - B) >= -tol
-    else:
-        ok = _min_eig(B - gram) >= -tol and _min_eig(eye - B) >= -tol
-    return "CP" if ok else "NotCP"
+    if m.sign == -1:
+        B = B - A.conj().T @ A
+    try:
+        new_channel(KIND_LAMBDA, A, B, tol)
+    except NotCompletelyPositive:
+        return "NotCP"
+    return "CP"

@@ -11,7 +11,10 @@ and contract the second half against the quasi-free environment state whose
 symbol reproduces B through B = sqrt(1 - A*A) Q' sqrt(1 - A*A).  The rotation
 direction (conjugate by E(V), not E(V)*) is the one under which the trace
 duality with the Schrodinger action holds; it is frozen here and enforced by
-the test suite.  The environment state E(W) diag(p) E(W)* is never formed:
+the test suite.  Both square roots come from one SVD of A, since 1 - AA*
+and 1 - A*A share the spectrum 1 - s^2, and the environment symbol's
+eigenvectors W from :func:`spectral`.  The environment state
+E(W) diag(p) E(W)* is never formed:
 E is multiplicative, so :func:`_kraus_factor` folds E(W)* into the rotation
 once and every action takes the Kraus form channel*(x) = sum K x K*.
 Gamma-kind channels route through the lambda channel with conjugated A
@@ -31,7 +34,6 @@ from .errors import (
     DimensionCap,
     DimensionMismatch,
     InconsistentB,
-    NotHermitian,
     SingularB,
     SpectrumOutOfRange,
 )
@@ -42,7 +44,7 @@ from .fock import (
     exp_element,
     fock_basis,
 )
-from .symbols import Symbol, _trusted_symbol, eigenbasis, validate_symbol
+from .symbols import SpectralSymbol, Symbol, _finite, _trusted_symbol, spectral, validate_symbol
 
 DENSE_CHOI_CAP = 6
 B_COND_MAX = 1e12
@@ -136,17 +138,24 @@ def _check_dense_dim(d: int) -> None:
         )
 
 
-def _psd_sqrt_and_pinv_sqrt(H: np.ndarray):
-    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
-    root = np.sqrt(np.clip(w, 0.0, None))
+def _stinespring_roots(A: np.ndarray):
+    """sqrt(1 - AA*), sqrt(1 - A*A) and the pseudo-inverse of the latter, from
+    one SVD A = U diag(s) Vh: both roots have the eigenvalues sqrt(1 - s^2),
+    on the columns of U and of Vh* respectively."""
+    U, s, Vh = np.linalg.svd(A)
+    root = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
     inv_root = np.zeros_like(root)
     mask = root > 1e-10 * max(1.0, float(root.max()))
     inv_root[mask] = 1.0 / root[mask]
-    return (V * root) @ V.conj().T, (V * inv_root) @ V.conj().T
+    V = Vh.conj().T
+    return (U * root) @ U.conj().T, (V * root) @ Vh, (V * inv_root) @ Vh
 
 
-def _environment_symbol(root: np.ndarray, pinv_root: np.ndarray, B: np.ndarray) -> Symbol:
-    """Q' with B = root Q' root, for root = sqrt(1 - A*A) and its pseudo-inverse."""
+def _environment_symbol(
+    root: np.ndarray, pinv_root: np.ndarray, B: np.ndarray
+) -> SpectralSymbol:
+    """Spectrum of Q' with B = root Q' root, for root = sqrt(1 - A*A) and its
+    pseudo-inverse; :class:`InconsistentB` when no Q' in [0, 1] does it."""
     Qp = pinv_root @ B @ pinv_root
     Qp = (Qp + Qp.conj().T) / 2.0
     if np.abs(root @ Qp @ root - B).max() > ENV_SYMBOL_TOL:
@@ -154,8 +163,8 @@ def _environment_symbol(root: np.ndarray, pinv_root: np.ndarray, B: np.ndarray) 
             "no environment symbol in [0, 1] reproduces B through sqrt(1-A*A)"
         )
     try:
-        return validate_symbol(Qp, tol=ENV_SYMBOL_TOL)
-    except (NotHermitian, SpectrumOutOfRange) as exc:
+        return spectral(_trusted_symbol(Qp, tol=ENV_SYMBOL_TOL))
+    except SpectrumOutOfRange as exc:
         raise InconsistentB(str(exc)) from exc
 
 
@@ -172,16 +181,14 @@ def _kraus_factor(channel: QuasiFreeChannel) -> np.ndarray:
     d = channel.dim
     n = 1 << d
     A, B, twisted = _as_lambda(channel)
-    eye = np.eye(d)
-    root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
-    root_right, pinv_right = _psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A)
-    w, W = eigenbasis(_environment_symbol(root_right, pinv_right, B))
-    Wh = W.conj().T
+    root_left, root_right, pinv_right = _stinespring_roots(A)
+    env = _environment_symbol(root_right, pinv_right, B)
+    Wh = env.eigenvectors.conj().T
     V = np.block([[A, root_left], [-Wh @ root_right, Wh @ A.conj().T]])
     t = _split_permutation(d, d)
     K = np.empty((n, n, n, n), dtype=complex)
     K.reshape(n * n, n * n)[np.ix_(t, t)] = exp_element(V)  # U E(V') U*
-    K *= np.sqrt(_subset_weights(w))[:, None, None]
+    K *= np.sqrt(_subset_weights(env.eigenvalues))[:, None, None]
     if twisted:
         K = K[::-1] * _particle_hole_signs(d)[::-1, None, None, None]
     return K
@@ -192,7 +199,7 @@ def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarr
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    x = np.asarray(x, dtype=complex)
+    x = _finite(np.asarray(x, dtype=complex), "x")
     if x.shape != (n, n):
         raise DimensionMismatch(f"operator shape {x.shape}, expected {(n, n)}")
     K = _kraus_factor(channel)
@@ -208,7 +215,7 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    rho = np.asarray(rho, dtype=complex)
+    rho = _finite(np.asarray(rho, dtype=complex), "rho")
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state shape {rho.shape}, expected {(n, n)}")
     # out[i,j] = sum conj K[a,L,i,c] rho[a,b] K[b,L,j,c]: two O(n^5) gemms

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, KernelConditionViolated
-from .symbols import Symbol, eigenbasis
+from .symbols import Symbol, spectral
 
 #: eigenvalues of Q2 at most this count as kernel components
 KERNEL_TOL = 1e-10
@@ -54,7 +54,8 @@ def relative_entropy(Q1: Symbol, Q2: Symbol) -> float:
     """
     if Q1.dim != Q2.dim:
         raise DimensionMismatch(f"symbol dims differ: {Q1.dim} vs {Q2.dim}")
-    w2, V2 = eigenbasis(Q2)
+    s2 = spectral(Q2)
+    w2, V2 = s2.eigenvalues, s2.eigenvectors
     M1V2 = Q1.matrix @ V2
 
     # diagonal of Q1 and 1-Q1 in the eigenbasis of Q2 (V2 is unitary)
@@ -78,11 +79,7 @@ def relative_entropy(Q1: Symbol, Q2: Symbol) -> float:
                 f"(||(1-Q1) v|| = {overlap.max():.3e}); relative entropy is infinite"
             )
 
-    q1 = Q1.eigenvalues
-    own = np.sum(np.where(q1 > 0.0, q1 * np.log(np.where(q1 > 0.0, q1, 1.0)), 0.0))
-    c1 = 1.0 - q1
-    own += np.sum(np.where(c1 > 0.0, c1 * np.log(np.where(c1 > 0.0, c1, 1.0)), 0.0))
-
+    own = -np.sum(_binary_entropy(Q1.eigenvalues))
     cross = np.sum(diag_q1[~lower] * np.log(w2[~lower]))
     cross += np.sum(diag_c1[~upper] * np.log(1.0 - w2[~upper]))
     return float(own - cross)

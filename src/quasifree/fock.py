@@ -44,7 +44,7 @@ from .errors import (
     NotOrthonormal,
     ZeroVector,
 )
-from .symbols import Symbol
+from .symbols import Symbol, _finite, spectral
 
 #: absolute ceiling on the one-particle dimension of any dense construction
 HARD_ORACLE_CAP = 14
@@ -81,7 +81,6 @@ class FockBasis:
     """Graded-lexicographic subset order on the Fock space of d modes."""
 
     d: int
-    subsets: tuple = field(repr=False)
     masks: np.ndarray = field(repr=False, compare=False)
     position: np.ndarray = field(repr=False, compare=False)
 
@@ -98,15 +97,12 @@ class FockBasis:
 def fock_basis(d: int) -> FockBasis:
     if d < 0:
         raise DimensionMismatch(f"mode number must be >= 0, got {d}")
-    subsets = []
-    for k in range(d + 1):
-        subsets.extend(combinations(range(d), k))
-    subsets = tuple(subsets)
+    subsets = (s for k in range(d + 1) for s in combinations(range(d), k))
     masks = np.array([sum(1 << j for j in s) for s in subsets], dtype=np.intp)
     position = np.empty_like(masks)
     position[masks] = np.arange(masks.size)
     masks.flags.writeable = position.flags.writeable = False
-    return FockBasis(d=d, subsets=subsets, masks=masks, position=position)
+    return FockBasis(d=d, masks=masks, position=position)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +141,7 @@ def creation_operator(phi) -> np.ndarray:
 
     Its adjoint is the annihilation operator (antilinear in the argument).
     """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    phi = _finite(np.asarray(phi, dtype=complex).reshape(-1), "phi")
     d = phi.shape[0]
     _check_cap(d)
     basis = fock_basis(d)
@@ -170,17 +166,22 @@ def number_operator(d: int) -> np.ndarray:
 
 
 def _exp_blocks(X: np.ndarray):
-    """Yield the sector blocks E_0, E_1, ..., E_d of exp_element(X) in turn.
+    """Yield the minor blocks E_0, E_1, ..., E_min(d, m) of a d x m matrix X;
+    for a square X they are the sectors of exp_element(X).
 
-    E_k[K, L] is the minor det X[K, L], expanded along its lowest column:
+    E_k[K, L] is the minor det X[K, L] (rows K from the tables of d, columns
+    L from those of m), expanded along its lowest column:
     sum_j (-1)^j X[m_j, min L] E_{k-1}[K - m_j, L - min L], m_j the j-th mode
     of K.  Only the previous block is kept.
     """
+    rows, cols = _laplace_tables(X.shape[0]), _laplace_tables(X.shape[1])
     prev = np.ones((1, 1), dtype=complex)
     yield prev
-    for k, (modes, drop) in enumerate(_laplace_tables(X.shape[0])[1:], start=1):
-        lowest = X[:, modes[:, 0]]  # X[m, min L] for every column subset L
-        rest = prev[:, drop[:, 0]]  # E_{k-1}[., L - min L]
+    for k in range(1, min(X.shape) + 1):
+        modes, drop = rows[k]
+        col_modes, col_drop = cols[k]
+        lowest = X[:, col_modes[:, 0]]  # X[m, min L] for every column subset L
+        rest = prev[:, col_drop[:, 0]]  # E_{k-1}[., L - min L]
         block = lowest[modes[:, 0]] * rest[drop[:, 0]]
         for j in range(1, k):
             term = lowest[modes[:, j]] * rest[drop[:, j]]
@@ -208,6 +209,7 @@ def exp_element(X) -> np.ndarray:
         raise DimensionMismatch(f"expected square matrix, got shape {X.shape}")
     d = X.shape[0]
     _check_cap(d)
+    _finite(X, "X")
     basis = fock_basis(d)
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for k, block in enumerate(_exp_blocks(X)):
@@ -229,6 +231,7 @@ def exp_spectrum(X, tol: float = 1e-9) -> np.ndarray:
         raise DimensionMismatch(f"expected square matrix, got shape {X.shape}")
     d = X.shape[0]
     _check_cap(d)  # the multiset itself is 2^d long
+    _finite(X, "X")
     lam = np.linalg.eigvals(X)
     scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
     nonzero = lam[np.abs(lam) > tol * scale]
@@ -239,42 +242,29 @@ def exp_spectrum(X, tol: float = 1e-9) -> np.ndarray:
     return np.concatenate([products, zeros])
 
 
-def _wedge_coordinates(vectors: np.ndarray, subs: np.ndarray) -> np.ndarray:
-    """Coordinates of v_1 ^ ... ^ v_k over sector-k basis subsets: the k x k
-    minors det(V[subset, :])."""
-    C, k = subs.shape
-    if k == 0:
-        return np.array([1.0 + 0.0j])
-    if k == 1:
-        return vectors[subs[:, 0], 0]
-    return np.linalg.det(vectors[subs, :])
-
-
 def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
     """Rank-1 projector onto the wedge line of k orthonormal one-particle
-    vectors; with an empty list this is the vacuum projector (d required)."""
+    vectors; with an empty list this is the vacuum projector (d required).
+
+    The sector-k coordinates of v_1 ^ ... ^ v_k are the k x k minors
+    det V[K, :] of the d x k matrix V of the vectors, the last block of
+    :func:`_exp_blocks` (V); for k = 0 that block is the vacuum entry 1."""
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    k = len(vecs)
-    if k == 0:
-        if d is None:
+    if d is None:
+        if not vecs:
             raise DimensionMismatch("vacuum projector needs an explicit d")
-    else:
-        if d is None:
-            d = vecs[0].shape[0]
-        if any(v.shape[0] != d for v in vecs):
-            raise DimensionMismatch("vectors must share the one-particle dimension")
+        d = vecs[0].shape[0]
+    if any(v.shape[0] != d for v in vecs):
+        raise DimensionMismatch("vectors must share the one-particle dimension")
     _check_cap(d)
-    basis = fock_basis(d)
-    psi = np.zeros(basis.size, dtype=complex)
-    if k == 0:
-        psi[0] = 1.0
-        return np.outer(psi, psi.conj())
-    V = np.stack(vecs, axis=1)
-    gram_dev = np.abs(V.conj().T @ V - np.eye(k)).max()
+    V = _finite(np.stack(vecs, axis=1) if vecs else np.zeros((d, 0)), "vectors")
+    k = V.shape[1]
+    gram_dev = np.abs(V.conj().T @ V - np.eye(k)).max(initial=0.0)
     if gram_dev > ORTHONORMAL_TOL:
         raise NotOrthonormal(f"max |V*V - 1| = {gram_dev:.3e}")
-    subs = np.array(list(combinations(range(d), k)), dtype=np.intp)
-    psi[basis.sector(k)] = _wedge_coordinates(V, subs)
+    *_, wedge = _exp_blocks(V)
+    psi = np.zeros(1 << d, dtype=complex)
+    psi[fock_basis(d).sector(k)] = wedge[:, 0]
     return np.outer(psi, psi.conj())
 
 
@@ -291,18 +281,17 @@ def density_matrix(Q: Symbol) -> np.ndarray:
     Assembled in eigenform: the wedge projectors of the eigenvector subsets,
     weighted by the products q_L = prod q (in L) * prod (1-q) (outside L).
     This stays well-defined for eigenvalues 0 and 1.  Equivalently
-    E(V) diag(q_L) E(V)* for the eigenvector unitary V, which is how it is
-    evaluated here, one particle-number sector at a time since E(V) is block
-    diagonal.
+    E(V) diag(q_L) E(V)* for the eigenvector unitary V of :func:`spectral`
+    (Q), which is how it is evaluated here, one particle-number sector at a
+    time since E(V) is block diagonal.
     """
     d = Q.dim
     _check_cap(d)
-    w, V = np.linalg.eigh(Q.matrix)
-    w = np.clip(w, 0.0, 1.0)
-    weights = _subset_weights(w)
+    s = spectral(Q)
+    weights = _subset_weights(s.eigenvalues)
     basis = fock_basis(d)
     rho = np.zeros((basis.size, basis.size), dtype=complex)
-    for k, block in enumerate(_exp_blocks(V)):
+    for k, block in enumerate(_exp_blocks(s.eigenvectors)):
         sl = basis.sector(k)
         rho[sl, sl] = (block * weights[sl]) @ block.conj().T
     return rho
@@ -313,7 +302,7 @@ def is_elementary(phi, d: int, k: int) -> bool:
     vectors, decided by the dimension of {chi : chi ^ phi = 0} being k."""
     if d < 0 or k < 0:
         raise InvalidArgument(f"mode number and sector must be >= 0, got d={d}, k={k}")
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    phi = _finite(np.asarray(phi, dtype=complex).reshape(-1), "phi")
     if phi.shape[0] != comb(d, k):
         raise DimensionMismatch(
             f"sector-{k} vector over {d} modes has length {comb(d, k)}, got {phi.shape[0]}"
@@ -381,8 +370,8 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     Evenness of rho1 (commuting with the parity operator) is what makes the
     product state well defined; its marginals reproduce rho1 and rho2.
     """
-    d1 = _modes_of(rho1)
-    d2 = _modes_of(rho2)
+    d1 = _modes_of(_finite(rho1, "rho1"))
+    d2 = _modes_of(_finite(rho2, "rho2"))
     theta = parity_operator(d1)
     dev = np.abs(rho1 @ theta - theta @ rho1).max()
     if dev > EVEN_STATE_TOL:

@@ -75,6 +75,11 @@ def _nonempty_finite(M: np.ndarray, name: str) -> np.ndarray:
     """M itself, once it has positive dimension and only finite entries."""
     if M.size == 0:
         raise DimensionMismatch(f"{name} must have positive dimension, got shape {M.shape}")
+    return _finite(M, name)
+
+
+def _finite(M: np.ndarray, name: str) -> np.ndarray:
+    """M itself, once every entry is finite; :class:`InvalidArgument` otherwise."""
     if not np.isfinite(M).all():
         raise InvalidArgument(f"{name} has non-finite entries")
     return M
@@ -102,7 +107,8 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     Raises :class:`NotHermitian` if ``max|M - M*| > tol`` and
     :class:`SpectrumOutOfRange` if any eigenvalue lies below ``-tol`` or above
     ``1 + tol``.  Violations within ``tol`` are treated as floating-point dust
-    and clamped away.
+    and clamped away, through :func:`spectral`: the clamped matrix is
+    V diag(clip w) V*, so that decomposition is its own and stays cached.
     """
     M = _as_square(M)
     herm_dev = np.abs(M - M.conj().T).max()
@@ -110,29 +116,30 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     H = (M + M.conj().T) / 2.0
     w = _checked_spectrum(np.linalg.eigvalsh(H), tol)
-    if w[0] < 0.0 or w[-1] > 1.0:
-        # clamp requires eigenvectors; taken only when the spectrum actually
-        # pokes out of [0, 1], so the common path stays at eigvalsh cost
-        w, V = np.linalg.eigh(H)
-        w = np.clip(w, 0.0, 1.0)
-        H = (V * w) @ V.conj().T
-        H = (H + H.conj().T) / 2.0
-    return Symbol(matrix=_frozen(H), _cache={"eigenvalues": _frozen(w[::-1].copy())})
+    if w[0] >= 0.0 and w[-1] <= 1.0:
+        return Symbol(matrix=_frozen(H), _cache={"eigenvalues": _frozen(w[::-1].copy())})
+    s = spectral(_trusted_symbol(H, tol))
+    H = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
+    H = (H + H.conj().T) / 2.0
+    return Symbol(matrix=_frozen(H), _cache={"eigenvalues": s.eigenvalues, "spectral": s})
 
 
 def _trusted_symbol(H: np.ndarray, tol: float = HERMITIAN_TOL) -> Symbol:
     """Symbol of an exactly Hermitian matrix that lies in [0, 1] by theorem,
-    without an eigendecomposition; the range test runs at ``tol`` when the
-    spectrum is first read.  Never use it for a matrix that comes from
-    outside: that is :func:`validate_symbol`'s job."""
+    or whose spectrum is read at once, without an eigendecomposition; the
+    range test runs at ``tol`` when the spectrum is first read.  Never use it
+    for a matrix that comes from outside: that is :func:`validate_symbol`'s
+    job."""
     return Symbol(matrix=_frozen(H), _tol=tol)
 
 
 def spectral(Q: Symbol) -> SpectralSymbol:
     """Eigendecomposition of a symbol with eigenvalues sorted descending.
 
-    Computed once per symbol and cached on it; this is the only place that
-    keeps eigenvectors alive."""
+    The only place that computes eigenvectors of a symbol: every consumer
+    (relative entropy, the dense density matrix, the Stinespring environment,
+    the clamp in :func:`validate_symbol`) reads them here.  Computed once per
+    symbol and cached on it."""
     s = Q._cache.get("spectral")
     if s is None:
         w, V = np.linalg.eigh(Q.matrix)
@@ -144,17 +151,6 @@ def spectral(Q: Symbol) -> SpectralSymbol:
         Q._cache.setdefault("eigenvalues", s.eigenvalues)
         Q._cache["spectral"] = s
     return s
-
-
-def eigenbasis(Q: Symbol) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (clamped to [0, 1], in no particular order) and matching
-    eigenvector columns of Q.  Reuses the decomposition :func:`spectral`
-    cached; otherwise computes one that the caller does not keep."""
-    s = Q._cache.get("spectral")
-    if s is not None:
-        return s.eigenvalues, s.eigenvectors
-    w, V = np.linalg.eigh(Q.matrix)
-    return np.clip(w, 0.0, 1.0), V
 
 
 def conjugate_matrix(A) -> np.ndarray:

@@ -28,8 +28,9 @@ from quasifree import (
 )
 from quasifree.channels import cp_bound
 from quasifree.checks import run_oracle_checks
-from quasifree.choi import _environment_symbol, _kraus_factor, _psd_sqrt_and_pinv_sqrt
-from quasifree.sampling import random_channel, random_symbol
+from quasifree.choi import _environment_symbol as environment_spectrum
+from quasifree.choi import _kraus_factor, _stinespring_roots
+from quasifree.sampling import random_channel, random_symbol, random_unitary
 
 KINDS = ("lambda", "gamma")
 
@@ -209,10 +210,15 @@ def test_stinespring_duality(rng):
             assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
 
-def test_stinespring_inconsistent_b():
+def test_stinespring_inconsistent_b(rng):
     # A = 1 forces 1 - A*A = 0, so no environment symbol can reproduce B != 0
     bad = QuasiFreeChannel(kind="lambda", A=np.eye(2), B=0.1 * np.eye(2))
     with pytest.raises(InconsistentB):
+        stinespring_heisenberg(bad, np.eye(4))
+    # B = 1.5 (1 - A*A) is reproduced by Q' = 1.5, whose spectrum leaves [0, 1]
+    c = random_channel(2, rng, "lambda")
+    bad = QuasiFreeChannel(kind="lambda", A=c.A, B=1.5 * cp_bound("lambda", c.A))
+    with pytest.raises(InconsistentB, match="leave"):
         stinespring_heisenberg(bad, np.eye(4))
 
 
@@ -238,6 +244,88 @@ def test_parity_twist_sign_is_unobservable(rng):
     W_flipped = -W
     assert np.abs(W @ rho @ W.conj().T - W_flipped @ rho @ W_flipped.conj().T).max() < 1e-14
     assert np.abs(stinespring_schrodinger(c, rho) - reference).max() < 1e-14
+
+
+def _psd_sqrt_and_pinv_sqrt(H):
+    """Reference roots: sqrt(H) and its pseudo-inverse from one eigh of H."""
+    w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+    root = np.sqrt(np.clip(w, 0.0, None))
+    inv_root = np.zeros_like(root)
+    mask = root > 1e-10 * max(1.0, float(root.max()))
+    inv_root[mask] = 1.0 / root[mask]
+    return (V * root) @ V.conj().T, (V * inv_root) @ V.conj().T
+
+
+def _environment_symbol(root, pinv_root, B):
+    """Reference environment symbol Q' with B = root Q' root, validated."""
+    Qp = pinv_root @ B @ pinv_root
+    Qp = (Qp + Qp.conj().T) / 2.0
+    assert np.abs(root @ Qp @ root - B).max() <= 1e-8
+    return validate_symbol(Qp, tol=1e-8)
+
+
+def eigh_roots_reference(A):
+    eye = np.eye(A.shape[0])
+    root_left, _ = _psd_sqrt_and_pinv_sqrt(eye - A @ A.conj().T)
+    return (root_left, *_psd_sqrt_and_pinv_sqrt(eye - A.conj().T @ A))
+
+
+def test_stinespring_roots_match_eigh_reference(rng):
+    for d in range(1, 7):
+        U1, U2 = random_unitary(d, rng), random_unitary(d, rng)
+        s = rng.uniform(0.1, 0.9, d)
+        # singular value 1 held exactly: a signed permutation of a diagonal
+        edge = np.concatenate([[1.0], s[1:]])
+        signed_perm = np.diag(edge)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+        for A in ((U1 * s) @ U2.conj().T, np.zeros((d, d)), signed_perm):
+            for g, ref in zip(_stinespring_roots(A), eigh_roots_reference(A)):
+                assert np.abs(g - ref).max() < 1e-13
+        # its right singular vector at 1 is e_0, where both roots vanish
+        _, root_right, pinv_right = _stinespring_roots(signed_perm)
+        assert np.abs(root_right[:, 0]).max() < 1e-15
+        assert np.abs(pinv_right[:, 0]).max() < 1e-15
+        # a rounded singular value 1: sqrt(1 - s^2) is sqrt(rounding) there, so
+        # the two roots agree to its square root, and both square correctly
+        A = (U1 * edge) @ U2.conj().T
+        eye = np.eye(d)
+        for g, ref, square in zip(
+            _stinespring_roots(A)[:2],
+            eigh_roots_reference(A)[:2],
+            (eye - A @ A.conj().T, eye - A.conj().T @ A),
+        ):
+            assert np.abs(g - ref).max() < 1e-7
+            assert np.abs(g @ g - square).max() < 1e-14
+
+
+def test_environment_spectrum_matches_validated_reference(rng):
+    for kind in KINDS:
+        for d in range(1, 7):
+            c = random_channel(d, rng, kind)
+            A = np.conj(c.A) if kind == "gamma" else c.A
+            _, root, pinv = _stinespring_roots(A)
+            env = environment_spectrum(root, pinv, c.B)
+            ref = _environment_symbol(*eigh_roots_reference(A)[1:], c.B)
+            W = env.eigenvectors
+            assert np.abs((W * env.eigenvalues) @ W.conj().T - ref.matrix).max() < 1e-13
+            assert np.all(np.diff(env.eigenvalues) <= 0.0)
+
+
+def test_kraus_factor_pays_one_svd_and_one_eigh(rng, monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for kind in KINDS:
+        c = random_channel(3, rng, kind)
+        for name in calls:
+            calls[name] = 0
+        _kraus_factor(c)
+        assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
 
 def oracle_pieces_reference(c):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from quasifree import (
+    AffineSymbolMap,
     NotCompletelyPositive,
     QuasiFreeChannel,
     SingularB,
@@ -24,6 +25,7 @@ from quasifree import (
     apply_heisenberg_state,
     apply_schrodinger,
     choi_exponential_form,
+    classify_affine_map,
     jamiolkowski_symbol,
     mix_symbols,
     new_channel,
@@ -92,6 +94,76 @@ def test_new_channel_boundary_error_messages(rng):
     A, B = cases["lambda_min(bound - B) = -1.1 tol"]
     with pytest.raises(NotCompletelyPositive, match=r"upper CP constraint violated by eigenvalue -1\.[01]\d*e-10"):
         new_channel("lambda", A, B)
+
+
+def old_classify(m, tol=CP_TOL):
+    """The decision classify_affine_map made with four eigenvalue tests of its
+    own: sign + needs 0 <= B <= 1 - A*A, sign - needs A*A <= B <= 1, and a
+    transposed congruence needs rank(A) <= 1 besides."""
+    A, B = np.asarray(m.A, dtype=complex), np.asarray(m.B, dtype=complex)
+    if np.abs(B - B.conj().T).max() > tol:
+        return "NotCP"
+    sv = np.linalg.svd(A, compute_uv=False)
+    rank = 0 if sv[0] == 0.0 else int(np.count_nonzero(sv > 1e-10 * sv[0]))
+    if (m.sign == 1) == bool(m.transpose_input) and rank > 1:
+        return "NotCP"
+    eye = np.eye(A.shape[0])
+    gram = A.conj().T @ A
+    if m.sign == 1:
+        ok = exact_min_eig(B) >= -tol and exact_min_eig(eye - gram - B) >= -tol
+    else:
+        ok = exact_min_eig(B - gram) >= -tol and exact_min_eig(eye - B) >= -tol
+    return "CP" if ok else "NotCP"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_classify_decides_as_eigen_tests(sign, transpose, rank, rng, d=4):
+    eye = np.eye(d)
+    for _ in range(3):
+        s = rng.uniform(0.3, 0.8, rank)
+        A = (random_unitary(d, rng)[:, :rank] * s) @ random_unitary(d, rng)[:, :rank].conj().T
+        gram = A.conj().T @ A
+        w, V = np.linalg.eigh(eye - gram)
+        root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+        # the two constraints as (lower, upper): lower(B) >= 0 and upper(B) >= 0
+        offset = 0.0 if sign == 1 else 1.0
+        lower = (lambda B: B) if sign == 1 else (lambda B: B - gram)
+        upper = (lambda B: eye - gram - B) if sign == 1 else (lambda B: eye - B)
+        base = offset * gram + root @ random_symbol(d, rng, 0.1, 0.9).matrix @ root
+        cases = []
+        for t in (-1.1, -0.9, 0.0, 1.0):
+            gap, P = lowest_mode(lower(base), t * CP_TOL)
+            cases.append(base - gap * P)
+            gap, P = lowest_mode(upper(base), t * CP_TOL)
+            cases.append(base + gap * P)
+        for B in cases:
+            m = AffineSymbolMap(sign, transpose, A, (B + B.conj().T) / 2.0)
+            assert classify_affine_map(m) == old_classify(m)
+
+
+def test_clamped_symbol_pays_one_eigh_through_relative_entropy(rng, monkeypatch):
+    d = 6
+    U = random_unitary(d, rng)
+    w = np.array([1.0 + 1e-12, 1.0, 0.7, 0.2, 0.0, -1e-12])
+    Q1 = validate_symbol((U * np.array([1.0, 1.0, 0.4, 0.5, 0.0, 0.0])) @ U.conj().T)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda H, _n=name, _f=original: calls.append(_n) or _f(H)
+        )
+    Q2 = validate_symbol((U * w) @ U.conj().T)  # dust beyond [0, 1]: the clamp path
+    value = relative_entropy(Q1, Q2)
+    s = spectral(Q2)
+    assert sorted(calls) == ["eigh", "eigvalsh"]
+    assert s is spectral(Q2) and np.array_equal(s.eigenvalues, Q2.eigenvalues)
+    assert np.abs(s.eigenvalues - np.clip(np.sort(w)[::-1], 0.0, 1.0)).max() < 1e-14
+    # Q1 and Q2 commute; modes at 0 or 1 in both contribute nothing
+    q1, q2 = np.array([0.4, 0.5]), np.array([0.7, 0.2])
+    expect = np.sum(q1 * np.log(q1 / q2) + (1 - q1) * np.log((1 - q1) / (1 - q2)))
+    assert abs(value - expect) < 1e-12
 
 
 def test_certificate_declines_below_rounding():

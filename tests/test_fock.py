@@ -28,7 +28,9 @@ from quasifree import (
     wedge_state_product,
 )
 from quasifree.fock import _subset_weights, _wedge_map
-from quasifree.sampling import random_symbol
+from quasifree.channels import apply_heisenberg_exp
+from quasifree.choi import stinespring_heisenberg, stinespring_schrodinger
+from quasifree.sampling import random_channel, random_symbol, random_unitary
 
 
 def basis_vector(d, i):
@@ -38,8 +40,8 @@ def basis_vector(d, i):
 
 
 def test_basis_order_is_graded_lexicographic():
-    b = fock_basis(3)
-    assert b.subsets == ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+    # (), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2) as bitmasks
+    assert fock_basis(3).masks.tolist() == [0, 1, 2, 4, 3, 5, 6, 7]
 
 
 def test_creation_two_level():
@@ -187,6 +189,18 @@ def test_projector_superposed_mode():
 def test_projector_rejects_non_orthonormal():
     with pytest.raises(NotOrthonormal):
         k_particle_projector([np.array([1.0, 0.0]), np.array([1.0, 1e-3])])
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_projector_matches_determinant_minors(rng, d):
+    for k in range(1, d + 1):
+        V = random_unitary(d, rng)[:, :k]
+        psi = np.zeros(2**d, dtype=complex)
+        psi[fock_basis(d).sector(k)] = [
+            np.linalg.det(V[list(K), :]) for K in combinations(range(d), k)
+        ]
+        P = k_particle_projector(list(V.T))
+        assert np.abs(P - np.outer(psi, psi.conj())).max() < 1e-14
 
 
 def test_density_single_mode():
@@ -440,3 +454,36 @@ def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "nonsense")
     with pytest.raises(DimensionCap):
         oracle_cap()
+
+
+NON_FINITE_SITES = {
+    "exp_element": lambda c, bad: exp_element(bad((2, 2))),
+    "exp_spectrum": lambda c, bad: exp_spectrum(bad((2, 2))),
+    "creation_operator": lambda c, bad: creation_operator(bad(2)),
+    "k_particle_projector": lambda c, bad: k_particle_projector([bad(2)]),
+    "is_elementary": lambda c, bad: is_elementary(bad(2), 2, 1),
+    "wedge_state_product rho1": lambda c, bad: wedge_state_product(bad((2, 2)), np.eye(2) / 2),
+    "wedge_state_product rho2": lambda c, bad: wedge_state_product(np.eye(2) / 2, bad((2, 2))),
+    "apply_heisenberg_exp": lambda c, bad: apply_heisenberg_exp(c, bad((2, 2))),
+    "stinespring_heisenberg": lambda c, bad: stinespring_heisenberg(c, bad((4, 4))),
+    "stinespring_schrodinger": lambda c, bad: stinespring_schrodinger(c, bad((4, 4))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NON_FINITE_SITES))
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_input_is_typed(rng, site, value):
+    c = random_channel(2, rng, "lambda")
+
+    def bad(shape):
+        M = np.zeros(shape, dtype=complex)
+        M.flat[0] = 1.0
+        M.flat[-1] = value
+        return M
+
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        NON_FINITE_SITES[site](c, bad)
+
+
+def test_exp_element_of_zero_modes_is_one():
+    assert np.array_equal(exp_element(np.zeros((0, 0))), [[1.0]])
