@@ -34,7 +34,7 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _finite, _nonempty_finite, _trusted_symbol, validate_symbol
+from .symbols import Symbol, _operand, _trusted_symbol, validate_symbol
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
@@ -87,13 +87,11 @@ class AffineSymbolMap:
 
 
 def _square_pair(A, B):
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"A must be square, got shape {A.shape}")
+    A = _operand(A, "A", nonempty=True)
+    B = _operand(B, "B", nonempty=True)
     if B.shape != A.shape:
         raise DimensionMismatch(f"A and B shapes differ: {A.shape} vs {B.shape}")
-    return _nonempty_finite(A, "A"), _nonempty_finite(B, "B")
+    return A, B
 
 
 def _min_eig(H: np.ndarray) -> float:
@@ -198,57 +196,53 @@ def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
     At, B, twisted = _as_lambda(channel)
     Qm = np.eye(channel.dim) - Q.matrix.T if twisted else Q.matrix
     M = At.conj().T @ Qm @ At + B
+    if channel._trusted:  # validate_symbol rounds M to Hermitian after its check
+        M = (M + M.conj().T) / 2.0
+    return _image_symbol(channel, M, SCHRODINGER_TOL)
+
+
+def _image_symbol(channel: QuasiFreeChannel, M: np.ndarray, tol: float) -> Symbol:
+    """Symbol of M, an image of symbols under the channel, exactly Hermitian if
+    the channel is trusted.  Under a channel made by :func:`new_channel` it is
+    a symbol by theorem and range-checked at ``tol`` when its spectrum is
+    first read; under a hand-built channel it is validated at ``tol``."""
     if channel._trusted:
-        return _trusted_symbol((M + M.conj().T) / 2.0, tol=SCHRODINGER_TOL)
-    return validate_symbol(M, tol=SCHRODINGER_TOL)
+        return _trusted_symbol(M, tol=tol)
+    return validate_symbol(M, tol=tol)
 
 
-def checked_inverse(P: np.ndarray, cond_max: float, singular) -> np.ndarray:
-    """P^-1, or ``singular(cond)`` raised when cond_2(P) >= cond_max.
+def checked_inverse(P: np.ndarray, cond_max: float, singular, what: str):
+    """(P^-1, det P) for the pivot P of a closed form: ``singular(cond)`` is
+    raised when cond_2(P) >= cond_max, and :class:`ScaleOutOfRange`, naming
+    ``what`` and giving log|det P|, when det P is not finite or underflows to 0.
 
     One LU-based inverse screens the condition number: cond_2 <= d cond_1,
     so d ||P||_1 ||P^-1||_1 < cond_max / 2 accepts (the factor 2 absorbs the
     rounding of the computed inverse, whose relative error is about
     d u cond_1 << 1 below the limit).  Anything else, including a
     LinAlgError from the inverse, goes to np.linalg.cond, which decides.
+    det P takes a second LU, as numpy keeps no factorization to reuse.
     """
     try:
         Pinv = np.linalg.inv(P)
+        screened = P.shape[0] * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0
     except np.linalg.LinAlgError:
-        Pinv = None
-    else:
-        d = P.shape[0]
-        if d * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0:
-            return Pinv
-    cond = np.linalg.cond(P)
-    if cond >= cond_max:
-        raise singular(cond)
-    # an LU breakdown below the limit re-raises its LinAlgError here, as the
-    # solve did before; the error is not kept across the cond call, where
-    # its traceback would pin the caller's frames
-    return np.linalg.inv(P) if Pinv is None else Pinv
-
-
-def checked_det(P: np.ndarray, what: str) -> complex:
-    """det P, or :class:`ScaleOutOfRange` when it is not finite or underflows
-    to exactly 0; only then is log|det P| computed, for the message."""
+        Pinv, screened = None, False
+    if not screened:
+        cond = np.linalg.cond(P)
+        if cond >= cond_max:
+            raise singular(cond)
+        # an LU breakdown below the limit re-raises its LinAlgError here; the
+        # error is not kept across the cond call, where its traceback would
+        # pin the caller's frames
+        if Pinv is None:
+            Pinv = np.linalg.inv(P)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         det = complex(np.linalg.det(P))
-    if np.isfinite(det) and det != 0:
-        return det
-    logabsdet = np.linalg.slogdet(P)[1]
-    raise ScaleOutOfRange(f"{what} is outside double range: log|det| = {logabsdet:.6e}")
-
-
-def _pivot_inverse(P: np.ndarray) -> np.ndarray:
-    return checked_inverse(
-        P,
-        PIVOT_COND_MAX,
-        lambda cond: SingularPivot(
-            f"pivot condition number {cond:.3e} >= {PIVOT_COND_MAX:.1e}; "
-            "the closed form does not apply"
-        ),
-    )
+    if not (np.isfinite(det) and det != 0):
+        logabsdet = np.linalg.slogdet(P)[1]
+        raise ScaleOutOfRange(f"{what} is outside double range: log|det| = {logabsdet:.6e}")
+    return Pinv, det
 
 
 def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> ScaledExponential:
@@ -262,18 +256,28 @@ def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> Scal
         S, T = T.T, S.T
     D = T - S
     pivot = S + D @ B
-    argument = np.eye(channel.dim) + A @ (_pivot_inverse(pivot) @ D) @ A.conj().T
-    scale = checked_det(pivot, "Heisenberg scale det(pivot)")
+    inverse, scale = checked_inverse(
+        pivot,
+        PIVOT_COND_MAX,
+        lambda cond: SingularPivot(
+            f"pivot condition number {cond:.3e} >= {PIVOT_COND_MAX:.1e}; "
+            "the closed form does not apply"
+        ),
+        "Heisenberg scale det(pivot)",
+    )
+    AD = A @ (inverse @ D)
+    del inverse  # not kept through the last product, where it would raise the peak by d^2
+    argument = np.eye(channel.dim) + AD @ A.conj().T
     return ScaledExponential(scale=scale, argument=argument)
 
 
 def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:
     """Heisenberg image of an exponential element E(X), as (scale, argument);
     the pair (S, T) = (1, X)."""
-    X = np.asarray(X, dtype=complex)
+    X = _operand(X, "X")
     if X.shape != (channel.dim, channel.dim):
         raise DimensionMismatch(f"X shape {X.shape} vs channel dim {channel.dim}")
-    return _heisenberg(channel, np.eye(channel.dim), _finite(X, "X"))
+    return _heisenberg(channel, np.eye(channel.dim), X)
 
 
 def apply_heisenberg_state(channel: QuasiFreeChannel, Q: Symbol) -> ScaledExponential:
@@ -314,7 +318,7 @@ def _numerical_rank(A: np.ndarray) -> int:
     return int(np.count_nonzero(sv > RANK_TOL * sv[0]))
 
 
-def classify_affine_map(m: AffineSymbolMap, tol: float = CP_TOL) -> str:
+def classify_affine_map(m: AffineSymbolMap) -> str:
     """Decide whether the affine symbol map extends to a completely positive
     state map; returns "CP" or "NotCP".
 
@@ -337,7 +341,7 @@ def classify_affine_map(m: AffineSymbolMap, tol: float = CP_TOL) -> str:
     if m.sign == -1:
         B = B - A.conj().T @ A
     try:
-        new_channel(KIND_LAMBDA, A, B, tol)
+        new_channel(KIND_LAMBDA, A, B)
     except NotCompletelyPositive:
         return "NotCP"
     return "CP"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuasiFreeChannel, _as_lambda, checked_det, checked_inverse
+from .channels import QuasiFreeChannel, _as_lambda, _image_symbol, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -44,11 +44,14 @@ from .fock import (
     exp_element,
     fock_basis,
 )
-from .symbols import SpectralSymbol, Symbol, _finite, _trusted_symbol, spectral, validate_symbol
+from .symbols import HERMITIAN_TOL, SpectralSymbol, Symbol, _operand, _trusted_symbol, spectral
 
 DENSE_CHOI_CAP = 6
 B_COND_MAX = 1e12
 ENV_SYMBOL_TOL = 1e-8
+#: 1 - s^2 up to eight units of rounding of 1 counts as 0 in the pseudo-inverse
+#: of sqrt(1 - A*A): the SVD's s and its square carry a few units each
+ROOT_GAP_TOL = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,7 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     gram = A.conj().T @ A
     J[d:, d:] = 0.25 * (gram + gram.conj().T)  # A*A / 2, exactly Hermitian
     J[d:, d:] += B
-    if channel._trusted:
-        sym = _trusted_symbol(J)
-    else:
-        sym = validate_symbol(J)
-    return JamiolkowskiSymbol(symbol=sym, source=channel)
+    return JamiolkowskiSymbol(symbol=_image_symbol(channel, J, HERMITIAN_TOL), source=channel)
 
 
 def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
@@ -113,12 +112,13 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     """
     A, B, _ = _as_lambda(channel)
     d = channel.dim
-    Binv = checked_inverse(
+    Binv, scale = checked_inverse(
         B,
         B_COND_MAX,
         lambda cond: SingularB(
             "B is numerically singular; the exponential Choi form does not apply"
         ),
+        "Choi scale det(B)",
     )
     Binv = (Binv + Binv.conj().T) / 2.0
     AB = A @ Binv
@@ -127,7 +127,6 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     argument[:d, d:] = AB.conj().T  # B^-1 A*, as B^-1 is Hermitian
     argument[d:, :d] = AB
     argument[d:, d:] = AB @ A.conj().T + np.eye(d)
-    scale = checked_det(B, "Choi scale det(B)")
     return ChoiExponentialForm(scale=scale.real, argument=argument)
 
 
@@ -141,11 +140,17 @@ def _check_dense_dim(d: int) -> None:
 def _stinespring_roots(A: np.ndarray):
     """sqrt(1 - AA*), sqrt(1 - A*A) and the pseudo-inverse of the latter, from
     one SVD A = U diag(s) Vh: both roots have the eigenvalues sqrt(1 - s^2),
-    on the columns of U and of Vh* respectively."""
+    on the columns of U and of Vh* respectively.
+
+    The pseudo-inverse drops the directions with 1 - s^2 <= ``ROOT_GAP_TOL``,
+    where s is 1 up to rounding and the root is only the square root of
+    rounding: inverting it there would divide B's rounding error by the
+    rounding of 1 - s^2 and push Q' out of [0, 1]."""
     U, s, Vh = np.linalg.svd(A)
-    root = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
+    gap = 1.0 - s * s
+    root = np.sqrt(np.clip(gap, 0.0, None))
     inv_root = np.zeros_like(root)
-    mask = root > 1e-10 * max(1.0, float(root.max()))
+    mask = gap > ROOT_GAP_TOL
     inv_root[mask] = 1.0 / root[mask]
     V = Vh.conj().T
     return (U * root) @ U.conj().T, (V * root) @ Vh, (V * inv_root) @ Vh
@@ -199,7 +204,7 @@ def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarr
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    x = _finite(np.asarray(x, dtype=complex), "x")
+    x = _operand(x, "x")
     if x.shape != (n, n):
         raise DimensionMismatch(f"operator shape {x.shape}, expected {(n, n)}")
     K = _kraus_factor(channel)
@@ -215,7 +220,7 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
-    rho = _finite(np.asarray(rho, dtype=complex), "rho")
+    rho = _operand(rho, "rho")
     if rho.shape != (n, n):
         raise DimensionMismatch(f"state shape {rho.shape}, expected {(n, n)}")
     # out[i,j] = sum conj K[a,L,i,c] rho[a,b] K[b,L,j,c]: two O(n^5) gemms

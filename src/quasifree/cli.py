@@ -27,28 +27,21 @@ from .channels import QuasiFreeChannel, apply_schrodinger, new_channel
 from .checks import run_oracle_checks
 from .choi import choi_exponential_form, jamiolkowski_symbol
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
-from .errors import (
-    DimensionCap,
-    InvalidOrder,
-    NotCompletelyPositive,
-    QuasifreeError,
-)
+from .errors import QuasifreeError
 from .fock import exp_spectrum
 from .symbols import Symbol, validate_symbol
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_BAD_FLAG = 4
-EXIT_NOT_CP = 5
 
 #: set to 1 in the environment that ``bench`` times in
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ParseError(Exception):
-    pass
+    exit_code = 2
 
 
 def parse_matrix_document(doc) -> np.ndarray:
@@ -342,21 +335,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, QuasifreeError) as exc:  # each error type carries its exit code
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidOrder as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAG
-    except NotCompletelyPositive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CP
-    except DimensionCap as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAG
-    except QuasifreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return exc.exit_code
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_INVALID

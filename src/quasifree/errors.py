@@ -1,12 +1,18 @@
 """Error taxonomy shared by all modules.
 
-Every failure mode that callers are expected to handle gets its own class so
-that the CLI can map exceptions to exit codes without string matching.
+Every failure mode that callers are expected to handle gets its own class,
+and every class carries the CLI exit code of its failure as ``exit_code``:
+3 by default (invalid symbol or channel, inapplicable closed form), 4 for a
+value out of range (:class:`InvalidOrder`, :class:`DimensionCap`) and 5 for
+a complete-positivity violation.  The CLI reads the code off the caught
+error, so there is no table to keep in step with this taxonomy.
 """
 
 
 class QuasifreeError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    exit_code = 3
 
 
 class NotHermitian(QuasifreeError):
@@ -37,6 +43,8 @@ class NotEvenState(QuasifreeError):
 class NotCompletelyPositive(QuasifreeError):
     """Channel data violates the complete-positivity constraint."""
 
+    exit_code = 5
+
 
 class DimensionMismatch(QuasifreeError):
     """Operands have incompatible dimensions."""
@@ -61,6 +69,8 @@ class ScaleOutOfRange(QuasifreeError):
 class DimensionCap(QuasifreeError):
     """Dense oracle refused to build an exponentially large object."""
 
+    exit_code = 4
+
 
 class InconsistentB(QuasifreeError):
     """No environment symbol in [0, 1] reproduces B (defensive check;
@@ -78,3 +88,5 @@ class InvalidArgument(QuasifreeError, ValueError):
 
 class InvalidOrder(QuasifreeError):
     """Renyi order must be positive, finite and different from 1."""
+
+    exit_code = 4

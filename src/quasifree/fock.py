@@ -44,13 +44,16 @@ from .errors import (
     NotOrthonormal,
     ZeroVector,
 )
-from .symbols import Symbol, _finite, spectral
+from .symbols import Symbol, _operand, spectral
 
 #: absolute ceiling on the one-particle dimension of any dense construction
 HARD_ORACLE_CAP = 14
 
 #: numerical kernel threshold for elementary-vector detection
 ELEMENTARY_KERNEL_TOL = 1e-9
+
+#: exp_spectrum counts eigenvalues of X below this (relative to the largest) as 0
+SPECTRUM_RANK_TOL = 1e-9
 
 EVEN_STATE_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
@@ -141,7 +144,7 @@ def creation_operator(phi) -> np.ndarray:
 
     Its adjoint is the annihilation operator (antilinear in the argument).
     """
-    phi = _finite(np.asarray(phi, dtype=complex).reshape(-1), "phi")
+    phi = _operand(np.ravel(phi), "phi", ndim=1)
     d = phi.shape[0]
     _check_cap(d)
     basis = fock_basis(d)
@@ -204,12 +207,9 @@ def exp_element(X) -> np.ndarray:
     the Laplace expansion along its lowest column over sector-(k-1) minors,
     through index tables cached per d.
     """
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got shape {X.shape}")
+    X = _operand(X, "X")
     d = X.shape[0]
     _check_cap(d)
-    _finite(X, "X")
     basis = fock_basis(d)
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for k, block in enumerate(_exp_blocks(X)):
@@ -218,23 +218,20 @@ def exp_element(X) -> np.ndarray:
     return out
 
 
-def exp_spectrum(X, tol: float = 1e-9) -> np.ndarray:
+def exp_spectrum(X) -> np.ndarray:
     """Eigenvalue multiset of exp_element(X), length 2^d, computed at
     polynomial cost from the eigenvalues of X.
 
     The multiset consists of all subset products of the nonzero eigenvalues
-    (numerical rank r, threshold ``tol`` relative to the largest magnitude),
-    padded with 2^d - 2^r zeros.
+    (numerical rank r, threshold ``SPECTRUM_RANK_TOL`` relative to the
+    largest magnitude), padded with 2^d - 2^r zeros.
     """
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"expected square matrix, got shape {X.shape}")
+    X = _operand(X, "X")
     d = X.shape[0]
     _check_cap(d)  # the multiset itself is 2^d long
-    _finite(X, "X")
     lam = np.linalg.eigvals(X)
     scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
-    nonzero = lam[np.abs(lam) > tol * scale]
+    nonzero = lam[np.abs(lam) > SPECTRUM_RANK_TOL * scale]
     products = np.array([1.0 + 0.0j])
     for v in nonzero:
         products = np.concatenate([products, v * products])
@@ -249,7 +246,7 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
     The sector-k coordinates of v_1 ^ ... ^ v_k are the k x k minors
     det V[K, :] of the d x k matrix V of the vectors, the last block of
     :func:`_exp_blocks` (V); for k = 0 that block is the vacuum entry 1."""
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    vecs = [_operand(np.ravel(v), "vectors", ndim=1) for v in vectors]
     if d is None:
         if not vecs:
             raise DimensionMismatch("vacuum projector needs an explicit d")
@@ -257,7 +254,7 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
     if any(v.shape[0] != d for v in vecs):
         raise DimensionMismatch("vectors must share the one-particle dimension")
     _check_cap(d)
-    V = _finite(np.stack(vecs, axis=1) if vecs else np.zeros((d, 0)), "vectors")
+    V = np.stack(vecs, axis=1) if vecs else np.zeros((d, 0))
     k = V.shape[1]
     gram_dev = np.abs(V.conj().T @ V - np.eye(k)).max(initial=0.0)
     if gram_dev > ORTHONORMAL_TOL:
@@ -302,7 +299,7 @@ def is_elementary(phi, d: int, k: int) -> bool:
     vectors, decided by the dimension of {chi : chi ^ phi = 0} being k."""
     if d < 0 or k < 0:
         raise InvalidArgument(f"mode number and sector must be >= 0, got d={d}, k={k}")
-    phi = _finite(np.asarray(phi, dtype=complex).reshape(-1), "phi")
+    phi = _operand(np.ravel(phi), "phi", ndim=1)
     if phi.shape[0] != comb(d, k):
         raise DimensionMismatch(
             f"sector-{k} vector over {d} modes has length {comb(d, k)}, got {phi.shape[0]}"
@@ -370,8 +367,9 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     Evenness of rho1 (commuting with the parity operator) is what makes the
     product state well defined; its marginals reproduce rho1 and rho2.
     """
-    d1 = _modes_of(_finite(rho1, "rho1"))
-    d2 = _modes_of(_finite(rho2, "rho2"))
+    rho1 = _operand(rho1, "rho1", nonempty=True)
+    rho2 = _operand(rho2, "rho2", nonempty=True)
+    d1, d2 = _modes_of(rho1), _modes_of(rho2)
     theta = parity_operator(d1)
     dev = np.abs(rho1 @ theta - theta @ rho1).max()
     if dev > EVEN_STATE_TOL:
@@ -412,6 +410,7 @@ def partial_trace(M: np.ndarray, dims: tuple, keep: int) -> np.ndarray:
     ``dims = (D1, D2)`` are the factor dimensions; ``keep`` selects the factor
     that survives (0 or 1).
     """
+    M = _operand(M, "matrix")
     D1, D2 = dims
     if M.shape != (D1 * D2, D1 * D2):
         raise DimensionMismatch(f"matrix shape {M.shape} does not match dims {dims}")
@@ -424,8 +423,8 @@ def partial_trace(M: np.ndarray, dims: tuple, keep: int) -> np.ndarray:
 
 
 def _modes_of(op: np.ndarray) -> int:
-    n = op.shape[0]
-    d = n.bit_length() - 1
-    if op.shape != (n, n) or (1 << d) != n:
+    """d for a square, nonempty operator of side 2^d."""
+    d = op.shape[0].bit_length() - 1
+    if (1 << d) != op.shape[0]:
         raise DimensionMismatch(f"operator shape {op.shape} is not 2^d x 2^d")
     return d

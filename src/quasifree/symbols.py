@@ -64,22 +64,17 @@ class SpectralSymbol:
     eigenvectors: np.ndarray
 
 
-def _as_square(M) -> np.ndarray:
+def _operand(M, name: str, ndim: int = 2, nonempty: bool = False) -> np.ndarray:
+    """M as a complex square matrix (``ndim`` 2) or vector (``ndim`` 1), not
+    empty if ``nonempty``, with finite entries: the one gate for every matrix
+    and vector operand.  :class:`DimensionMismatch` for a wrong shape or an
+    empty operand, :class:`InvalidArgument` for a NaN or infinite entry."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
-    return _nonempty_finite(M, "matrix")
-
-
-def _nonempty_finite(M: np.ndarray, name: str) -> np.ndarray:
-    """M itself, once it has positive dimension and only finite entries."""
-    if M.size == 0:
+    if M.ndim != ndim or M.shape[0] != M.shape[-1]:
+        what = "square" if ndim == 2 else "one-dimensional"
+        raise DimensionMismatch(f"expected a {what} {name}, got shape {M.shape}")
+    if nonempty and M.size == 0:
         raise DimensionMismatch(f"{name} must have positive dimension, got shape {M.shape}")
-    return _finite(M, name)
-
-
-def _finite(M: np.ndarray, name: str) -> np.ndarray:
-    """M itself, once every entry is finite; :class:`InvalidArgument` otherwise."""
     if not np.isfinite(M).all():
         raise InvalidArgument(f"{name} has non-finite entries")
     return M
@@ -110,7 +105,7 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     and clamped away, through :func:`spectral`: the clamped matrix is
     V diag(clip w) V*, so that decomposition is its own and stays cached.
     """
-    M = _as_square(M)
+    M = _operand(M, "matrix", nonempty=True)
     herm_dev = np.abs(M - M.conj().T).max()
     if herm_dev > tol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")

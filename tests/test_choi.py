@@ -222,6 +222,23 @@ def test_stinespring_inconsistent_b(rng):
         stinespring_heisenberg(bad, np.eye(4))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_stinespring_singular_value_one_is_consistent(rng, kind):
+    # A = U1 diag(1, s...) U2*: 1 - s^2 is rounding in the first direction,
+    # where the pseudo-inverse root must not amplify B's rounding
+    for d in (2, 3) * 20:
+        U1, U2 = random_unitary(d, rng), random_unitary(d, rng)
+        A = (U1 * np.concatenate([[1.0], rng.uniform(0.1, 0.9, d - 1)])) @ U2.conj().T
+        w, V = np.linalg.eigh(cp_bound(kind, A))
+        root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+        B = root @ random_symbol(d, rng).matrix @ root
+        c = new_channel(kind, A, (B + B.conj().T) / 2.0)
+        Q = random_symbol(d, rng)
+        dense = stinespring_schrodinger(c, density_matrix(Q))
+        # the root is the square root of rounding there, so agreement is 1e-8-level
+        assert np.abs(dense - density_matrix(apply_schrodinger(c, Q))).max() < 1e-7
+
+
 def test_parity_twist_sign_is_unobservable(rng):
     # the embedding parity is fixed up to sign; flipping it changes the
     # split isomorphism by a local parity and the particle-hole unitary by a

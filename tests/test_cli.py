@@ -5,7 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from quasifree import exp_spectrum
+from quasifree import (
+    DimensionCap,
+    InvalidOrder,
+    NotCompletelyPositive,
+    QuasifreeError,
+    errors,
+    exp_spectrum,
+)
 from quasifree.cli import (
     ParseError,
     _numeric_pairs,
@@ -139,6 +146,17 @@ def test_entropy_error_codes(tmp_path, capsys):
     for p in ("nan", "inf", "-inf"):
         assert main(["entropy", ok, f"--p={p}"]) == 4
     assert "Renyi order" in capsys.readouterr().err
+
+
+def test_error_types_carry_documented_exit_codes():
+    # the README's exit-code table; 0 is success and 1 a failed invariant
+    documented = {NotCompletelyPositive: 5, InvalidOrder: 4, DimensionCap: 4}
+    types = [getattr(errors, name) for name in dir(errors)]
+    types = [t for t in types if isinstance(t, type) and issubclass(t, QuasifreeError)]
+    for t in types:
+        assert t.exit_code == documented.get(t, 3), t
+    assert ParseError.exit_code == 2
+    assert all(t.exit_code not in (0, 1) for t in (*types, ParseError))
 
 
 def test_relent(tmp_path, capsys):

@@ -394,6 +394,18 @@ def test_wedge_state_product_trace_and_marginals(rng):
     assert np.abs(partial_trace(tensor, (4, 4), keep=1) - rho2).max() < 1e-12
 
 
+def test_nested_list_operands_match_arrays(rng):
+    rho1 = density_matrix(random_symbol(1, rng))
+    rho2 = random_density(4, rng)
+    expect = wedge_state_product(rho1, rho2)
+    assert np.array_equal(wedge_state_product(rho1.tolist(), rho2), expect)
+    assert np.array_equal(wedge_state_product(rho1, rho2.tolist()), expect)
+    for keep in (0, 1):
+        assert np.array_equal(
+            partial_trace(expect.tolist(), (2, 4), keep), partial_trace(expect, (2, 4), keep)
+        )
+
+
 def test_wedge_state_product_is_split_conjugation(rng):
     for d1, d2 in ((1, 1), (2, 1), (1, 3), (2, 2), (3, 2)):
         rho1 = density_matrix(random_symbol(d1, rng))
@@ -464,6 +476,7 @@ NON_FINITE_SITES = {
     "is_elementary": lambda c, bad: is_elementary(bad(2), 2, 1),
     "wedge_state_product rho1": lambda c, bad: wedge_state_product(bad((2, 2)), np.eye(2) / 2),
     "wedge_state_product rho2": lambda c, bad: wedge_state_product(np.eye(2) / 2, bad((2, 2))),
+    "partial_trace": lambda c, bad: partial_trace(bad((4, 4)), (2, 2), keep=0),
     "apply_heisenberg_exp": lambda c, bad: apply_heisenberg_exp(c, bad((2, 2))),
     "stinespring_heisenberg": lambda c, bad: stinespring_heisenberg(c, bad((4, 4))),
     "stinespring_schrodinger": lambda c, bad: stinespring_schrodinger(c, bad((4, 4))),
