@@ -23,7 +23,7 @@ oracle-side call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _operand, _trusted_symbol, validate_symbol
+from .symbols import Symbol, _operand, _trusted_symbol
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
@@ -49,18 +49,47 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class QuasiFreeChannel:
-    """A validated quasi-free channel; construct through :func:`new_channel`.
+    """A quasi-free channel, completely positive by construction.
 
-    ``_trusted`` is set only by :func:`new_channel`, after it proved the CP
-    inequality at a tolerance no looser than ``CP_TOL``; the symbols such a
-    channel produces are symbols by theorem.  A channel built by hand keeps
-    ``_trusted`` false, and its outputs are validated.
+    The constructor, however it is reached (:func:`new_channel`,
+    :func:`compose`, ``dataclasses.replace``, a direct call), checks the kind,
+    reads A and B through the operand gate and proves B Hermitian and
+    0 <= B <= :func:`cp_bound` at ``CP_TOL``: each inequality is first tried
+    by a Cholesky certificate (:func:`_certified_psd`), which accepts only
+    what the eigenvalue test accepts, and otherwise the eigenvalue test
+    decides and words the error.  A and B are kept as read-only copies, so
+    the symbols a channel produces are symbols by theorem.
     """
 
     kind: str
     A: np.ndarray
     B: np.ndarray
-    _trusted: bool = field(default=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in (KIND_LAMBDA, KIND_GAMMA):
+            raise InvalidArgument(
+                f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {self.kind!r}"
+            )
+        A, B = _square_pair(self.A, self.B)
+        herm_dev = np.abs(B - B.conj().T).max()
+        if herm_dev > CP_TOL:
+            raise NotCompletelyPositive(f"B must be Hermitian; max |B - B*| = {herm_dev:.3e}")
+        B = (B + B.conj().T) / 2.0
+        if not _certified_psd(B, CP_TOL):
+            low = _min_eig(B)
+            if low < -CP_TOL:
+                raise NotCompletelyPositive(f"B has eigenvalue {low:.6e} < 0")
+        upper = cp_bound(self.kind, A) - B
+        if not _certified_psd(upper, CP_TOL):
+            high = _min_eig(upper)
+            if high < -CP_TOL:
+                raise NotCompletelyPositive(
+                    f"upper CP constraint violated by eigenvalue {high:.6e}"
+                )
+        A = A.copy()  # freeze private copies, never the caller's arrays
+        for name, m in (("A", A), ("B", B)):
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -128,10 +157,16 @@ def _certified_psd(H: np.ndarray, tol: float) -> bool:
     return c * spread <= half
 
 
+def _lambda_A(kind: str, A: np.ndarray):
+    """(At, twisted) with the channel (kind, A, B) = lambda(At, B) . theta^twisted."""
+    twisted = kind == KIND_GAMMA
+    return (np.conj(A) if twisted else A), twisted
+
+
 def _as_lambda(channel: QuasiFreeChannel):
     """(At, B, twisted) with channel = lambda(At, B) . theta^twisted."""
-    twisted = channel.kind == KIND_GAMMA
-    return (np.conj(channel.A) if twisted else channel.A), channel.B, twisted
+    At, twisted = _lambda_A(channel.kind, channel.A)
+    return At, channel.B, twisted
 
 
 def _twist_past(At: np.ndarray, B: np.ndarray):
@@ -142,73 +177,33 @@ def _twist_past(At: np.ndarray, B: np.ndarray):
 
 def cp_bound(kind: str, A: np.ndarray) -> np.ndarray:
     """Upper bound 1 - At*At on B in the CP constraint of the given kind."""
-    At, _, _ = _as_lambda(QuasiFreeChannel(kind, A, B=None))
+    At, _ = _lambda_A(kind, A)
     return np.eye(At.shape[0]) - At.conj().T @ At
 
 
-def new_channel(kind: str, A, B, tol: float = CP_TOL) -> QuasiFreeChannel:
-    """Validate (kind, A, B) as a quasi-free channel.
-
-    Checks B Hermitian and 0 <= B <= :func:`cp_bound`, reporting the
-    violating eigenvalue on failure.  Each inequality is first tried by a
-    Cholesky certificate (:func:`_certified_psd`), which accepts only what the
-    eigenvalue test accepts; everything else goes to the eigenvalue test,
-    which decides and words the error.
-    """
-    if kind not in (KIND_LAMBDA, KIND_GAMMA):
-        raise InvalidArgument(f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {kind!r}")
-    A, B = _square_pair(A, B)
-    herm_dev = np.abs(B - B.conj().T).max()
-    if herm_dev > tol:
-        raise NotCompletelyPositive(
-            f"B must be Hermitian; max |B - B*| = {herm_dev:.3e}"
-        )
-    B = (B + B.conj().T) / 2.0
-    if not _certified_psd(B, tol):
-        low = _min_eig(B)
-        if low < -tol:
-            raise NotCompletelyPositive(f"B has eigenvalue {low:.6e} < 0")
-    upper = cp_bound(kind, A) - B
-    if not _certified_psd(upper, tol):
-        high = _min_eig(upper)
-        if high < -tol:
-            raise NotCompletelyPositive(
-                f"upper CP constraint violated by eigenvalue {high:.6e}"
-            )
-    A = A.copy()  # freeze private copies, never the caller's arrays
-    for m in (A, B):
-        m.setflags(write=False)
-    return QuasiFreeChannel(kind=kind, A=A, B=B, _trusted=tol <= CP_TOL)
+def new_channel(kind: str, A, B) -> QuasiFreeChannel:
+    """The quasi-free channel (kind, A, B), the documented entry point:
+    ``QuasiFreeChannel(kind, A, B)``, which proves it completely positive at
+    ``CP_TOL`` or raises (:class:`InvalidArgument` for a kind other than
+    ``lambda``/``gamma``, :class:`NotCompletelyPositive` for a violation)."""
+    return QuasiFreeChannel(kind, A, B)
 
 
 def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
     """Image symbol of the state evolution.
 
-    The image is At* theta^twisted(Q) At + B.  For a channel made by
-    :func:`new_channel` it is a symbol by theorem: theta maps symbols to
-    symbols, and 0 <= Q <= 1 gives B <= At*QAt + B <= At*At + B <= 1, so
-    it is returned without an eigendecomposition and range-checked at
-    ``SCHRODINGER_TOL`` when its spectrum is first read.  The image under a
-    hand-built channel is validated as a Symbol at that tolerance.
+    The image is At* theta^twisted(Q) At + B, a symbol by theorem: theta maps
+    symbols to symbols, and 0 <= Q <= 1 gives B <= At*QAt + B <= At*At + B <= 1
+    for every channel, as each has 0 <= B <= 1 - At*At.  It is returned exactly
+    Hermitian, without an eigendecomposition, and range-checked at
+    ``SCHRODINGER_TOL`` when its spectrum is first read.
     """
     if channel.dim != Q.dim:
         raise DimensionMismatch(f"channel dim {channel.dim} vs symbol dim {Q.dim}")
     At, B, twisted = _as_lambda(channel)
     Qm = np.eye(channel.dim) - Q.matrix.T if twisted else Q.matrix
     M = At.conj().T @ Qm @ At + B
-    if channel._trusted:  # validate_symbol rounds M to Hermitian after its check
-        M = (M + M.conj().T) / 2.0
-    return _image_symbol(channel, M, SCHRODINGER_TOL)
-
-
-def _image_symbol(channel: QuasiFreeChannel, M: np.ndarray, tol: float) -> Symbol:
-    """Symbol of M, an image of symbols under the channel, exactly Hermitian if
-    the channel is trusted.  Under a channel made by :func:`new_channel` it is
-    a symbol by theorem and range-checked at ``tol`` when its spectrum is
-    first read; under a hand-built channel it is validated at ``tol``."""
-    if channel._trusted:
-        return _trusted_symbol(M, tol=tol)
-    return validate_symbol(M, tol=tol)
+    return _trusted_symbol((M + M.conj().T) / 2.0, tol=SCHRODINGER_TOL)
 
 
 def checked_inverse(P: np.ndarray, cond_max: float, singular, what: str):

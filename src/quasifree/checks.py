@@ -21,7 +21,7 @@ from .choi import (
     stinespring_schrodinger,
 )
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
-from .errors import NotQuasiFreeMixture, SingularB
+from .errors import NotQuasiFreeMixture
 from .fock import density_matrix, exp_element, exp_spectrum, partial_trace
 from .sampling import random_channel, random_symbol
 from .symbols import mix_symbols, validate_symbol
@@ -183,10 +183,7 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
                 dev_tr1,
                 float(np.abs(partial_trace(C, (n, n), keep=1) - np.eye(n)).max()),
             )
-            try:
-                cf = choi_exponential_form(c)
-            except SingularB:
-                continue  # sampled channels have B > 0; defensive only
+            cf = choi_exponential_form(c)
             cf_dense = cf.scale * exp_element(cf.argument)
             wd = np.sort(np.linalg.eigvalsh(C))
             wf = np.sort(np.linalg.eigvalsh(cf_dense))

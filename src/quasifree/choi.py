@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuasiFreeChannel, _as_lambda, _image_symbol, checked_inverse
+from .channels import QuasiFreeChannel, _as_lambda, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -44,7 +44,7 @@ from .fock import (
     exp_element,
     fock_basis,
 )
-from .symbols import HERMITIAN_TOL, SpectralSymbol, Symbol, _operand, _trusted_symbol, spectral
+from .symbols import SpectralSymbol, Symbol, _operand, _trusted_symbol, spectral
 
 DENSE_CHOI_CAP = 6
 B_COND_MAX = 1e12
@@ -81,9 +81,8 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     J = 1/2 [1; A*][1, A] + diag(0, B) and
     1 - J = 1/2 [1; -A*][1, -A] + diag(0, 1 - A*A - B), so 0 <= J <= 1 is
     exactly the complete-positivity test 0 <= B <= 1 - A*A of the source
-    channel.  For a channel made by :func:`new_channel` it is therefore not
-    repeated; the spectrum is range-checked when first read.  A hand-built
-    channel's J is validated as a Symbol, which raises when it is not CP.
+    channel, which its constructor has proved.  J is therefore not validated
+    again; its spectrum is range-checked when first read.
     """
     A, B, twisted = _as_lambda(channel)
     sign = 1.0
@@ -97,7 +96,7 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     gram = A.conj().T @ A
     J[d:, d:] = 0.25 * (gram + gram.conj().T)  # A*A / 2, exactly Hermitian
     J[d:, d:] += B
-    return JamiolkowskiSymbol(symbol=_image_symbol(channel, J, HERMITIAN_TOL), source=channel)
+    return JamiolkowskiSymbol(symbol=_trusted_symbol(J), source=channel)
 
 
 def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:

@@ -73,8 +73,9 @@ class DimensionCap(QuasifreeError):
 
 
 class InconsistentB(QuasifreeError):
-    """No environment symbol in [0, 1] reproduces B (defensive check;
-    cannot happen for a validated channel)."""
+    """No environment symbol in [0, 1] reproduces B within the oracle's tolerance;
+    raised also for a few valid channels, whose A has a singular value with
+    1 - s^2 between about 1e-16 and 1e-14, where B's rounding meets the root's."""
 
 
 class KernelConditionViolated(QuasifreeError):

@@ -96,10 +96,16 @@ class FockBasis:
         return slice(start, start + comb(self.d, k))
 
 
-@lru_cache(maxsize=None)
 def fock_basis(d: int) -> FockBasis:
+    """The basis of d modes, refused above :func:`oracle_cap` before it is built."""
     if d < 0:
         raise DimensionMismatch(f"mode number must be >= 0, got {d}")
+    _check_cap(d)
+    return _fock_basis(d)
+
+
+@lru_cache(maxsize=None)
+def _fock_basis(d: int) -> FockBasis:
     subsets = (s for k in range(d + 1) for s in combinations(range(d), k))
     masks = np.array([sum(1 << j for j in s) for s in subsets], dtype=np.intp)
     position = np.empty_like(masks)
@@ -146,7 +152,6 @@ def creation_operator(phi) -> np.ndarray:
     """
     phi = _operand(np.ravel(phi), "phi", ndim=1)
     d = phi.shape[0]
-    _check_cap(d)
     basis = fock_basis(d)
     occ = _occupation(d)
     below = np.cumsum(occ, axis=1) - occ  # occupied modes below each mode
@@ -209,7 +214,6 @@ def exp_element(X) -> np.ndarray:
     """
     X = _operand(X, "X")
     d = X.shape[0]
-    _check_cap(d)
     basis = fock_basis(d)
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for k, block in enumerate(_exp_blocks(X)):
@@ -330,7 +334,6 @@ def _wedge_map(phi: np.ndarray, d: int, k: int) -> np.ndarray:
 def _split_permutation(d1: int, d2: int) -> np.ndarray:
     """The permutation t with split_isomorphism(d1, d2)[t[i], i] = 1: the
     tensor index (first-block subset, second-block subset) of basis state i."""
-    _check_cap(d1 + d2)
     masks = fock_basis(d1 + d2).masks
     left, right = fock_basis(d1), fock_basis(d2)
     return left.position[masks & (left.size - 1)] * right.size + right.position[masks >> d1]

@@ -104,7 +104,10 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     ``1 + tol``.  Violations within ``tol`` are treated as floating-point dust
     and clamped away, through :func:`spectral`: the clamped matrix is
     V diag(clip w) V*, so that decomposition is its own and stays cached.
+    A ``tol`` that is NaN, infinite or negative raises :class:`InvalidArgument`.
     """
+    if not 0.0 <= tol < np.inf:
+        raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
     M = _operand(M, "matrix", nonempty=True)
     herm_dev = np.abs(M - M.conj().T).max()
     if herm_dev > tol:

@@ -214,8 +214,8 @@ def test_criterion_5_choi_jamiolkowski():
             w, V = np.linalg.eigh(cp_bound(kind, c.A) - c.B)
             v = V[:, 0]
             bad_B = c.B + (w[0] + 1e-3) * np.outer(v, v.conj())
-            bad = QuasiFreeChannel(kind=kind, A=c.A, B=bad_B)
             try:
+                bad = QuasiFreeChannel(kind=kind, A=c.A, B=bad_B)
                 jamiolkowski_symbol(bad)
             except QuasifreeError:
                 violations_detected += 1

@@ -8,6 +8,7 @@ from quasifree import (
     DimensionMismatch,
     InvalidArgument,
     NotCompletelyPositive,
+    QuasiFreeChannel,
     ScaleOutOfRange,
     SingularPivot,
     apply_heisenberg_exp,
@@ -48,6 +49,30 @@ def test_new_channel_rejects_non_finite_entries(kind, bad):
     for name, args in (("A", (np.where(A, bad, 0.0), B)), ("B", (A, np.where(B, bad, 0.0)))):
         with pytest.raises(InvalidArgument, match=f"{name} has non-finite"):
             new_channel(kind, *args)
+
+
+@pytest.mark.parametrize(
+    "kind, A, B, error",
+    [
+        ("lambda", np.diag([np.nan, 0.5]), 0.1 * np.eye(2), InvalidArgument),
+        ("gamma", np.diag([0.5, np.inf]), 0.1 * np.eye(2), InvalidArgument),
+        ("lambda", 0.5 * np.eye(2), np.diag([0.1, np.nan]), InvalidArgument),
+        ("gamma", 0.5 * np.eye(2), np.diag([-np.inf, 0.1]), InvalidArgument),
+        ("foo", 0.5 * np.eye(2), 0.1 * np.eye(2), InvalidArgument),
+        ("lambda", np.zeros((2, 3)), np.zeros((2, 3)), DimensionMismatch),
+        ("gamma", 0.5 * np.eye(2), 0.1 * np.eye(3), DimensionMismatch),
+        ("lambda", [[0.5, 0.0], [0.0, 0.5]], 0.1 * np.eye(2), None),
+    ],
+    ids=["nan-A", "inf-A", "nan-B", "inf-B", "kind-foo", "non-square", "mismatched", "list-A"],
+)
+def test_direct_construction_is_validated(kind, A, B, error):
+    # the constructor itself gates its operands, as new_channel does
+    if error is not None:
+        with pytest.raises(error):
+            QuasiFreeChannel(kind, A, B)
+        return
+    c = QuasiFreeChannel(kind, A, B)
+    assert c.dim == 2 and c.A.dtype == complex and not c.A.flags.writeable
 
 
 def test_new_channel_rejects_empty_matrices():

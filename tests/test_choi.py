@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from quasifree import (
     DimensionCap,
     InconsistentB,
+    NotCompletelyPositive,
     QuasiFreeChannel,
-    QuasifreeError,
     ScaleOutOfRange,
     SingularB,
     apply_schrodinger,
@@ -100,6 +101,8 @@ def test_jamiolkowski_extended_pair_identity(rng):
 
 
 def test_jamiolkowski_detects_cp_violation(rng):
+    # no channel exists whose Jamiolkowski symbol leaves [0, 1]: the CP
+    # violation is refused however the channel is built
     for kind in KINDS:
         d = 2
         c = random_channel(d, rng, kind)
@@ -107,9 +110,9 @@ def test_jamiolkowski_detects_cp_violation(rng):
         w, V = np.linalg.eigh(bound - c.B)
         v = V[:, 0]
         bad_B = c.B + (w[0] + 1e-3) * np.outer(v, v.conj())
-        bad = QuasiFreeChannel(kind=kind, A=c.A, B=bad_B)  # bypasses validation
-        with pytest.raises(QuasifreeError):
-            jamiolkowski_symbol(bad)
+        for build in (QuasiFreeChannel, new_channel, lambda k, A, B: dataclasses.replace(c, B=B)):
+            with pytest.raises(NotCompletelyPositive, match="upper CP"):
+                build(kind, c.A, bad_B)
 
 
 def test_choi_form_replacer_channel():
@@ -211,15 +214,16 @@ def test_stinespring_duality(rng):
 
 
 def test_stinespring_inconsistent_b(rng):
+    # neither B is a channel's, so the environment symbol is asked for directly
     # A = 1 forces 1 - A*A = 0, so no environment symbol can reproduce B != 0
-    bad = QuasiFreeChannel(kind="lambda", A=np.eye(2), B=0.1 * np.eye(2))
+    _, root, pinv_root = _stinespring_roots(np.eye(2))
     with pytest.raises(InconsistentB):
-        stinespring_heisenberg(bad, np.eye(4))
+        environment_spectrum(root, pinv_root, 0.1 * np.eye(2))
     # B = 1.5 (1 - A*A) is reproduced by Q' = 1.5, whose spectrum leaves [0, 1]
     c = random_channel(2, rng, "lambda")
-    bad = QuasiFreeChannel(kind="lambda", A=c.A, B=1.5 * cp_bound("lambda", c.A))
+    _, root, pinv_root = _stinespring_roots(c.A)
     with pytest.raises(InconsistentB, match="leave"):
-        stinespring_heisenberg(bad, np.eye(4))
+        environment_spectrum(root, pinv_root, 1.5 * cp_bound("lambda", c.A))
 
 
 @pytest.mark.parametrize("kind", KINDS)

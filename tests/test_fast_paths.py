@@ -20,7 +20,6 @@ from quasifree import (
     QuasiFreeChannel,
     SingularB,
     SingularPivot,
-    SpectrumOutOfRange,
     apply_heisenberg_exp,
     apply_heisenberg_state,
     apply_schrodinger,
@@ -341,42 +340,25 @@ def test_trusted_symbol_is_lazy_cached_and_frozen(rng, monkeypatch):
         out.matrix = Q.matrix
 
 
-def hand_built_violations(rng, d=3):
-    """Channels that bypass new_channel, one per violated side of the CP test."""
+def cp_violations(rng, d=3):
+    """(kind, side, channel, B): B breaks one side of the channel's CP test."""
     for kind in KINDS:
         c = random_channel(d, rng, kind)
-        bound = cp_bound(kind, c.A)
-        w, V = np.linalg.eigh(bound - c.B)
+        w, V = np.linalg.eigh(cp_bound(kind, c.A) - c.B)
         v = V[:, 0]
-        yield kind, "upper", QuasiFreeChannel(kind, c.A, c.B + (w[0] + 1e-3) * np.outer(v, v.conj()))
+        yield kind, "upper", c, c.B + (w[0] + 1e-3) * np.outer(v, v.conj())
         w, V = np.linalg.eigh(c.B)
         v = V[:, 0]
-        yield kind, "lower", QuasiFreeChannel(kind, c.A, c.B - (w[0] + 1e-3) * np.outer(v, v.conj()))
+        yield kind, "lower", c, c.B - (w[0] + 1e-3) * np.outer(v, v.conj())
 
 
 def test_hand_built_non_cp_channel_still_raises(rng):
-    d = 3
-    for kind, side, bad in hand_built_violations(rng, d):
-        with pytest.raises(SpectrumOutOfRange):
-            jamiolkowski_symbol(bad)
-        # the violating direction shows in the image of 1 (upper) or 0 (lower),
-        # for the lambda kind; the gamma kind reads the particle-hole image
-        full = validate_symbol(np.eye(d))
-        empty = validate_symbol(np.zeros((d, d)))
-        worst = empty if (side == "lower") == (kind == "lambda") else full
-        with pytest.raises(SpectrumOutOfRange):
-            apply_schrodinger(bad, worst)
-
-
-def test_loose_tolerance_channel_is_not_trusted(rng):
-    # accepted at tol 1e-6 with lambda_min(B) = -1e-7; the image of the empty
-    # state is B itself, which the Schrodinger range test (1e-8) must reject
-    # at once, as before
-    d = 3
-    c = random_channel(d, rng, "lambda")
-    w, V = np.linalg.eigh(c.B)
-    v = V[:, 0]
-    B = c.B - (w[0] + 1e-7) * np.outer(v, v.conj())
-    loose = new_channel("lambda", c.A, B, tol=1e-6)
-    with pytest.raises(SpectrumOutOfRange):
-        apply_schrodinger(loose, validate_symbol(np.zeros((d, d))))
+    # every way of making a channel runs the CP test, so none bypasses it
+    for kind, side, c, bad_B in cp_violations(rng):
+        match = "upper CP" if side == "upper" else "B has eigenvalue"
+        with pytest.raises(NotCompletelyPositive, match=match):
+            QuasiFreeChannel(kind, c.A, bad_B)
+        with pytest.raises(NotCompletelyPositive, match=match):
+            new_channel(kind, c.A, bad_B)
+        with pytest.raises(NotCompletelyPositive, match=match):
+            dataclasses.replace(c, B=bad_B)

@@ -27,7 +27,7 @@ from quasifree import (
     validate_symbol,
     wedge_state_product,
 )
-from quasifree.fock import _subset_weights, _wedge_map
+from quasifree.fock import HARD_ORACLE_CAP, _subset_weights, _wedge_map
 from quasifree.channels import apply_heisenberg_exp
 from quasifree.choi import stinespring_heisenberg, stinespring_schrodinger
 from quasifree.sampling import random_channel, random_symbol, random_unitary
@@ -448,6 +448,8 @@ def test_complement_reverses_basis_order():
 
 
 def test_oracle_cap_refusal():
+    with pytest.raises(DimensionCap):
+        fock_basis(HARD_ORACLE_CAP + 1)  # refused before its 2^15 masks are built
     with pytest.raises(DimensionCap):
         exp_element(np.eye(15))
     with pytest.raises(DimensionCap):

@@ -39,6 +39,13 @@ def test_validate_rejects_non_finite_entries(bad):
             validate_symbol(M)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+def test_validate_rejects_bad_tolerance(tol):
+    # with tol = NaN every range comparison would be False and diag(5, -3) pass
+    with pytest.raises(InvalidArgument, match="tol"):
+        validate_symbol(np.diag([5.0, -3.0]), tol=tol)
+
+
 def test_validate_rejects_empty_matrix():
     with pytest.raises(DimensionMismatch, match="positive dimension"):
         validate_symbol(np.zeros((0, 0)))
