@@ -47,7 +47,7 @@ SCHRODINGER_TOL = 1e-8
 RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiFreeChannel:
     """A quasi-free channel, completely positive by construction.
 
@@ -66,10 +66,7 @@ class QuasiFreeChannel:
     B: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in (KIND_LAMBDA, KIND_GAMMA):
-            raise InvalidArgument(
-                f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {self.kind!r}"
-            )
+        bound = cp_bound(self.kind, self.A)  # the kind check and A's operand gate
         A, B = _square_pair(self.A, self.B)
         herm_dev = np.abs(B - B.conj().T).max()
         if herm_dev > CP_TOL:
@@ -79,7 +76,7 @@ class QuasiFreeChannel:
             low = _min_eig(B)
             if low < -CP_TOL:
                 raise NotCompletelyPositive(f"B has eigenvalue {low:.6e} < 0")
-        upper = cp_bound(self.kind, A) - B
+        upper = bound - B
         if not _certified_psd(upper, CP_TOL):
             high = _min_eig(upper)
             if high < -CP_TOL:
@@ -96,7 +93,7 @@ class QuasiFreeChannel:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledExponential:
     """The pair (scale, argument) representing scale * E(argument); the closed
     form of Heisenberg channel outputs.  Kept unexpanded on purpose."""
@@ -105,7 +102,7 @@ class ScaledExponential:
     argument: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineSymbolMap:
     """gamma(Q) = sign * A* (Q or Q^T) A + B, for CP classification."""
 
@@ -175,9 +172,12 @@ def _twist_past(At: np.ndarray, B: np.ndarray):
     return Ac, np.eye(At.shape[0]) - B.T - At.T @ Ac
 
 
-def cp_bound(kind: str, A: np.ndarray) -> np.ndarray:
-    """Upper bound 1 - At*At on B in the CP constraint of the given kind."""
-    At, _ = _lambda_A(kind, A)
+def cp_bound(kind: str, A) -> np.ndarray:
+    """Upper bound 1 - At*At on B in the CP constraint of the given kind: the
+    constructor's first step, so kind and A are read as it reads them."""
+    if kind not in (KIND_LAMBDA, KIND_GAMMA):
+        raise InvalidArgument(f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {kind!r}")
+    At, _ = _lambda_A(kind, _operand(A, "A", nonempty=True))
     return np.eye(At.shape[0]) - At.conj().T @ At
 
 

@@ -13,16 +13,16 @@ import numpy as np
 
 from .channels import apply_heisenberg_exp, apply_heisenberg_state, apply_schrodinger, compose
 from .choi import (
+    _contract,
+    _dual_factor,
+    _kraus_factor,
     choi_exponential_form,
     dense_choi,
-    dense_jamiolkowski,
     jamiolkowski_symbol,
-    stinespring_heisenberg,
-    stinespring_schrodinger,
 )
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import NotQuasiFreeMixture
-from .fock import density_matrix, exp_element, exp_spectrum, partial_trace
+from .fock import _subset_weights, density_matrix, exp_element, exp_spectrum, partial_trace
 from .sampling import random_channel, random_symbol
 from .symbols import mix_symbols, validate_symbol
 
@@ -57,26 +57,23 @@ def dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
     return float(np.trace(r1 @ (log1 - log2)).real)
 
 
-def _subset_products(q: np.ndarray) -> np.ndarray:
-    out = np.array([1.0])
-    for v in q:
-        out = np.concatenate([(1.0 - v) * out, v * out])
-    return out
-
-
 def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     """The full symbol-versus-oracle suite at dimension d; channel checks run
     for d <= 5 and Choi checks for d <= 4 (the Stinespring contractions cost
-    O(32^d), the dense Choi matrix 64^d)."""
+    O(32^d), the dense Choi matrix 64^d).  A channel trial builds one Kraus
+    factor, a Choi trial one Choi matrix C and its spectrum, whose 2^-d-scaled
+    copy is J's; their symbol sides use the identities density-eigenvalues and
+    exp-spectrum certify, and the dense sides stay the Stinespring oracle."""
     rng = np.random.default_rng(seed)
     results = []
+    kinds = ("lambda", "gamma")
 
     dev_eig = dev_tr = 0.0
     for _ in range(trials):
         Q = random_symbol(d, rng)
         rho = density_matrix(Q)
         dense = np.sort(np.linalg.eigvalsh(rho))
-        sym = np.sort(_subset_products(Q.eigenvalues))
+        sym = np.sort(_subset_weights(Q.eigenvalues))
         dev_eig = max(dev_eig, float(np.abs(dense - sym).max()))
         dev_tr = max(dev_tr, abs(float(np.trace(rho).real) - 1.0))
     results.append(CheckResult("density-eigenvalues", dev_eig, 1e-10))
@@ -136,20 +133,17 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
 
     if d <= 5:
         dev_cov = dev_dual = dev_comp = dev_heis = 0.0
-        kinds = ("lambda", "gamma")
         for t in range(trials):
-            kind = kinds[t % 2]
-            c = random_channel(d, rng, kind)
+            c = random_channel(d, rng, kinds[t % 2])
             Q = random_symbol(d, rng, 0.05, 0.95)
             rho = density_matrix(Q)
             out = apply_schrodinger(c, Q)
-            dev_cov = max(
-                dev_cov,
-                float(np.abs(stinespring_schrodinger(c, rho) - density_matrix(out)).max()),
-            )
+            rho_out = density_matrix(out)
+            K = _kraus_factor(c)
+            dev_cov = max(dev_cov, float(np.abs(_contract(_dual_factor(K), rho) - rho_out).max()))
             X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             se = apply_heisenberg_exp(c, X)
-            lhs = complex(np.trace(density_matrix(out) @ exp_element(X)))
+            lhs = complex(np.trace(rho_out @ exp_element(X)))
             rhs = se.scale * complex(np.trace(rho @ exp_element(se.argument)))
             dev_dual = max(dev_dual, abs(lhs - rhs))
             c2 = random_channel(d, rng, kinds[(t + 1) % 2])
@@ -157,7 +151,7 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
             one = apply_schrodinger(compose(c2, c), Q).matrix
             dev_comp = max(dev_comp, float(np.abs(two - one).max()))
             ss = apply_heisenberg_state(c, Q)
-            dense_heis = stinespring_heisenberg(c, rho)
+            dense_heis = _contract(K, rho)
             dev_heis = max(
                 dev_heis,
                 float(np.abs(ss.scale * exp_element(ss.argument) - dense_heis).max()),
@@ -170,23 +164,19 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     if d <= 4:
         dev_jam = dev_tr1 = dev_choi = 0.0
         n = 1 << d
-        kinds = ("lambda", "gamma")
         for t in range(max(1, trials // 4)):
-            kind = kinds[t % 2]
-            c = random_channel(d, rng, kind)
-            J = jamiolkowski_symbol(c)
-            dense = np.sort(np.linalg.eigvalsh(dense_jamiolkowski(c)))
-            sym = np.sort(np.linalg.eigvalsh(density_matrix(J.symbol)))
-            dev_jam = max(dev_jam, float(np.abs(dense - sym).max()))
+            c = random_channel(d, rng, kinds[t % 2])
             C = dense_choi(c)
+            wd = np.sort(np.linalg.eigvalsh(C))
+            # J = S C^T S / 2^d for the factor swap S, so C / 2^d has J's spectrum
+            sym = np.sort(_subset_weights(jamiolkowski_symbol(c).symbol.eigenvalues))
+            dev_jam = max(dev_jam, float(np.abs(wd / n - sym).max()))
             dev_tr1 = max(
                 dev_tr1,
                 float(np.abs(partial_trace(C, (n, n), keep=1) - np.eye(n)).max()),
             )
             cf = choi_exponential_form(c)
-            cf_dense = cf.scale * exp_element(cf.argument)
-            wd = np.sort(np.linalg.eigvalsh(C))
-            wf = np.sort(np.linalg.eigvalsh(cf_dense))
+            wf = np.sort((cf.scale * exp_spectrum(cf.argument)).real)
             dev_choi = max(dev_choi, float(np.abs(wd - wf).max()))
         results.append(CheckResult("jamiolkowski-spectrum", dev_jam, 1e-8))
         results.append(CheckResult("choi-partial-trace", dev_tr1, 1e-9))

@@ -16,7 +16,8 @@ and 1 - A*A share the spectrum 1 - s^2, and the environment symbol's
 eigenvectors W from :func:`spectral`.  The environment state
 E(W) diag(p) E(W)* is never formed:
 E is multiplicative, so :func:`_kraus_factor` folds E(W)* into the rotation
-once and every action takes the Kraus form channel*(x) = sum K x K*.
+once and both actions are one contraction :func:`_contract`: of K for
+channel*(x) = sum K x K*, of its trace dual for the Schrodinger action.
 Gamma-kind channels route through the lambda channel with conjugated A
 composed with the particle-hole automorphism, a signed reversal of the Fock
 basis that the factor applies as an index, independently of the symbol-side
@@ -54,16 +55,15 @@ ENV_SYMBOL_TOL = 1e-8
 ROOT_GAP_TOL = 8.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JamiolkowskiSymbol:
     """2d-dimensional symbol of the Jamiolkowski state of a channel; its
     top-left d x d block is the totally mixed marginal 1/2."""
 
     symbol: Symbol
-    source: QuasiFreeChannel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiExponentialForm:
     """Closed form det(B) * E(argument) of the Choi matrix of the Heisenberg
     channel; argument is 2d x 2d."""
@@ -96,7 +96,7 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     gram = A.conj().T @ A
     J[d:, d:] = 0.25 * (gram + gram.conj().T)  # A*A / 2, exactly Hermitian
     J[d:, d:] += B
-    return JamiolkowskiSymbol(symbol=_trusted_symbol(J), source=channel)
+    return JamiolkowskiSymbol(symbol=_trusted_symbol(J))
 
 
 def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
@@ -198,35 +198,41 @@ def _kraus_factor(channel: QuasiFreeChannel) -> np.ndarray:
     return K
 
 
-def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarray:
-    """Dense Heisenberg action of the channel on a Fock operator x."""
-    d = channel.dim
-    _check_dense_dim(d)
-    n = fock_basis(d).size
-    x = _operand(x, "x")
-    if x.shape != (n, n):
-        raise DimensionMismatch(f"operator shape {x.shape}, expected {(n, n)}")
-    K = _kraus_factor(channel)
+def _contract(K: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*, for any factor K[a, L, i, c]."""
+    n = K.shape[0]
     # out[a,b] = sum K[a,L,i,c] x[i,j] conj K[b,L,j,c]: two O(n^5) gemms
     Y = x.T @ K  # [a,L,j,c]
     np.conjugate(Y, out=Y)
     return (Y.reshape(n, -1) @ K.reshape(n, -1).T).conj()
 
 
+def _dual_factor(K: np.ndarray) -> np.ndarray:
+    """K'[i, L, a, c] = conj K[a, L, i, c]: contracting K' is the trace dual
+    of contracting K.  Laid out C-contiguous, so both gemms take it as is."""
+    return np.conjugate(K.transpose(2, 1, 0, 3), order="C")
+
+
+def _fock_operand(channel: QuasiFreeChannel, x, name: str, what: str) -> np.ndarray:
+    _check_dense_dim(channel.dim)
+    n = fock_basis(channel.dim).size
+    x = _operand(x, name)
+    if x.shape != (n, n):
+        raise DimensionMismatch(f"{what} shape {x.shape}, expected {(n, n)}")
+    return x
+
+
+def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarray:
+    """Dense Heisenberg action of the channel on a Fock operator x."""
+    x = _fock_operand(channel, x, "x", "operator")
+    return _contract(_kraus_factor(channel), x)
+
+
 def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.ndarray:
     """Dense Schrodinger action (the trace dual of
     :func:`stinespring_heisenberg`) on a density matrix."""
-    d = channel.dim
-    _check_dense_dim(d)
-    n = fock_basis(d).size
-    rho = _operand(rho, "rho")
-    if rho.shape != (n, n):
-        raise DimensionMismatch(f"state shape {rho.shape}, expected {(n, n)}")
-    # out[i,j] = sum conj K[a,L,i,c] rho[a,b] K[b,L,j,c]: two O(n^5) gemms
-    Kt = _kraus_factor(channel).transpose(2, 0, 1, 3).reshape(n, n, n * n)  # [i,a,(L,c)]
-    R = rho @ Kt  # [j,a,(L,c)]
-    np.conjugate(R, out=R)
-    return (Kt.reshape(n, -1) @ R.reshape(n, -1).T).conj()
+    rho = _fock_operand(channel, rho, "rho", "state")
+    return _contract(_dual_factor(_kraus_factor(channel)), rho)
 
 
 def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:

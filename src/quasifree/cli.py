@@ -90,8 +90,11 @@ def _parse_entries(data: list) -> np.ndarray:
     for idx, entry in enumerate(data):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"entry {idx} is not a [re, im] pair")
+        re, im = entry
+        if isinstance(re, str) or isinstance(im, str):  # float() would read "1.5" and " 1e3 "
+            raise ParseError(f"entry {idx} is not a pair of numbers")
         try:
-            re, im = float(entry[0]), float(entry[1])
+            re, im = float(re), float(im)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"entry {idx} is not a pair of numbers: {exc}") from exc
         if not (np.isfinite(re) and np.isfinite(im)):

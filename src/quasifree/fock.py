@@ -79,13 +79,13 @@ def _check_cap(d: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockBasis:
     """Graded-lexicographic subset order on the Fock space of d modes."""
 
     d: int
-    masks: np.ndarray = field(repr=False, compare=False)
-    position: np.ndarray = field(repr=False, compare=False)
+    masks: np.ndarray = field(repr=False)
+    position: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:

@@ -25,7 +25,7 @@ HERMITIAN_TOL = 1e-10
 MIX_RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """A one-particle symbol: ``matrix`` is exactly Hermitian and read-only.
 
@@ -38,8 +38,8 @@ class Symbol:
     """
 
     matrix: np.ndarray
-    _tol: float = field(default=HERMITIAN_TOL, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _tol: float = field(default=HERMITIAN_TOL, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -55,7 +55,7 @@ class Symbol:
         return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSymbol:
     """Eigendecomposition of a symbol: eigenvalues descending in [0, 1],
     eigenvectors as the columns of a unitary matrix."""

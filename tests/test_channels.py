@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from quasifree import (
     validate_symbol,
     von_neumann_entropy,
 )
+from quasifree.channels import cp_bound
 from quasifree.sampling import random_channel, random_symbol, random_unitary
 
 KINDS = ("lambda", "gamma")
@@ -73,6 +75,23 @@ def test_direct_construction_is_validated(kind, A, B, error):
         return
     c = QuasiFreeChannel(kind, A, B)
     assert c.dim == 2 and c.A.dtype == complex and not c.A.flags.writeable
+
+
+def test_cp_bound_reads_operands_as_the_constructor_does():
+    with pytest.raises(InvalidArgument, match="kind"):
+        cp_bound("foo", 0.5 * np.eye(2))
+    with pytest.raises(InvalidArgument, match="non-finite"):
+        cp_bound("lambda", np.diag([np.nan, 0.5]))
+    bound = cp_bound("gamma", [[0.5, 0.0], [0.0, 0.5j]])
+    assert bound.dtype == complex and np.array_equal(bound, 0.75 * np.eye(2))
+
+
+def test_records_compare_by_identity(rng):
+    # array-holding records use object identity for == and hash
+    for x in (random_channel(2, rng, "lambda"), random_symbol(2, rng)):
+        copy = dataclasses.replace(x)
+        assert (x == copy) is False and x == x
+        assert hash(x) == hash(x) and len({x, copy}) == 2
 
 
 def test_new_channel_rejects_empty_matrices():

@@ -28,6 +28,8 @@ from quasifree import (
     validate_symbol,
 )
 from quasifree.channels import cp_bound
+import quasifree.checks
+import quasifree.choi
 from quasifree.checks import run_oracle_checks
 from quasifree.choi import _environment_symbol as environment_spectrum
 from quasifree.choi import _kraus_factor, _stinespring_roots
@@ -404,6 +406,29 @@ def test_stinespring_contractions_match_kron_forms(rng, kind):
                 M = G @ np.kron(e_ij, np.eye(n)) @ G.conj().T
                 choi[i, :, j, :] = partial_trace(np.kron(np.eye(n), rho_env) @ M, (n, n), keep=0)
         assert np.abs(dense_choi(c) - choi.reshape(n * n, n * n)).max() < 1e-14
+
+
+def test_oracle_checks_build_one_kraus_factor_per_trial(monkeypatch):
+    builds, dense_dims = [], []
+
+    def counted(channel):
+        builds.append(channel)
+        return _kraus_factor(channel)
+
+    for module in (quasifree.choi, quasifree.checks):
+        monkeypatch.setattr(module, "_kraus_factor", counted, raising=False)
+    for name, dim in (("density_matrix", lambda Q: Q.dim), ("exp_element", len)):
+        original = getattr(quasifree.checks, name)
+
+        def recorded(x, _original=original, _dim=dim):
+            dense_dims.append(_dim(x))
+            return _original(x)
+
+        monkeypatch.setattr(quasifree.checks, name, recorded)
+    results = run_oracle_checks(4, 4, seed=5)
+    assert all(r.passed for r in results)
+    assert len(builds) == 5  # 4 channel trials and 1 Choi trial
+    assert max(dense_dims) == 4  # nothing densified on the 2d modes of a Choi form
 
 
 def test_oracle_checks_reach_channels_at_five_and_choi_at_four():

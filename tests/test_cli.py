@@ -170,7 +170,8 @@ def test_relent(tmp_path, capsys):
 
 
 def test_non_numeric_entries_are_parse_errors(tmp_path, capsys):
-    for bad in (["a", 0], [None, 0], [10**400, 0]):
+    # numeric strings too: float() would read them as 1.5+2j and 1000
+    for bad in (["a", 0], [None, 0], [10**400, 0], ["1.5", "2"], [" 1e3 ", 0]):
         doc = {"rows": 1, "cols": 1, "data": [bad]}
         with pytest.raises(ParseError):
             parse_matrix_document(doc)
