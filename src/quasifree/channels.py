@@ -34,7 +34,7 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _operand, _trusted_symbol
+from .symbols import Symbol, _certified_psd, _operand, _trusted_symbol
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
@@ -122,36 +122,6 @@ def _square_pair(A, B):
 
 def _min_eig(H: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((H + H.conj().T) / 2.0)[0])
-
-
-def _certified_psd(H: np.ndarray, tol: float) -> bool:
-    """True only when lambda_min(H) >= -tol holds exactly; False means "not
-    certified", and the caller's eigenvalue test decides.
-
-    A Cholesky factorization that runs to completion on
-    H' = H + (tol/2) 1 proves H' + E >= 0 for a backward error with
-    |E| <= c |L||L*|, c = sqrt(2) gamma_{n+3} in complex arithmetic (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.3 and sec. 3.6).
-    Hence ||E||_2 <= c || |L| ||_2^2 <= c min(||L||_F^2, ||L||_1 ||L||_inf),
-    and when that is at most tol/2, lambda_min(H) >= -tol/2 - ||E||_2 >= -tol.
-    For 0 <= H <= 1 the Frobenius form is at most sqrt(2) n (n+3) u, inside
-    tol/2 = 5e-11 up to d ~ 560 whatever H is; beyond that the certificate
-    holds when L is spread thinly enough (||L||_1 ||L||_inf small).
-    """
-    n = H.shape[0]
-    half = tol / 2.0
-    try:
-        L = np.linalg.cholesky((H + H.conj().T) / 2.0 + half * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    u = np.finfo(float).eps / 2.0
-    c = np.sqrt(2.0) * (n + 3) * u / (1.0 - (n + 3) * u)
-    absL = np.abs(L)
-    spread = min(
-        float(np.vdot(absL, absL).real),
-        float(absL.sum(axis=0).max() * absL.sum(axis=1).max()),
-    )
-    return c * spread <= half
 
 
 def _lambda_A(kind: str, A: np.ndarray):

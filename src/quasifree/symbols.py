@@ -29,12 +29,14 @@ MIX_RANK_TOL = 1e-9
 class Symbol:
     """A one-particle symbol: ``matrix`` is exactly Hermitian and read-only.
 
-    ``eigenvalues`` (descending, clamped to [0, 1]) are computed on first read
-    and cached.  :func:`validate_symbol`, the only entry point for untrusted
-    matrices, reads them at once, because its range test needs them.  Producers
-    whose output is a symbol by theorem (channel images, Jamiolkowski blocks,
-    convex mixtures) skip that eigendecomposition; their range test runs, at
-    the producer's tolerance, when the spectrum is first read.
+    ``eigenvalues`` (descending, clipped to [0, 1]) are computed on first read
+    and cached.  Producers whose output is a symbol by theorem (channel
+    images, Jamiolkowski blocks, convex mixtures) skip the eigendecomposition;
+    their range test runs, at the producer's tolerance ``_tol``, when the
+    spectrum is first read.  A symbol that :func:`validate_symbol` certified
+    by Cholesky is kept as given, so its matrix may have eigenvalues outside
+    [0, 1] by dust within the validation tolerance; that range is already
+    proven, so its ``_tol`` is infinite and the first read only clips.
     """
 
     matrix: np.ndarray
@@ -97,14 +99,22 @@ def _checked_spectrum(w: np.ndarray, tol: float) -> np.ndarray:
 
 
 def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
-    """Check that M is a symbol and return it with eigenvalues clamped to [0, 1].
+    """Check that M is a symbol and return it with eigenvalues clipped to [0, 1].
 
     Raises :class:`NotHermitian` if ``max|M - M*| > tol`` and
     :class:`SpectrumOutOfRange` if any eigenvalue lies below ``-tol`` or above
-    ``1 + tol``.  Violations within ``tol`` are treated as floating-point dust
-    and clamped away, through :func:`spectral`: the clamped matrix is
-    V diag(clip w) V*, so that decomposition is its own and stays cached.
-    A ``tol`` that is NaN, infinite or negative raises :class:`InvalidArgument`.
+    ``1 + tol``.  A ``tol`` that is NaN, infinite or negative raises
+    :class:`InvalidArgument`.
+
+    The range 0 <= H <= 1 of the Hermitian part H is first tried by two
+    Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H), each
+    tried only where its Frobenius form can pass (:func:`_frobenius_fits`, an
+    O(d) test on the trace).  Certified matrices are kept as given, without an
+    eigendecomposition; their eigenvalues are clipped on read.  Otherwise
+    eigvalsh decides and words the error, and violations within ``tol`` are
+    treated as floating-point dust and clamped away, through
+    :func:`spectral`: the clamped matrix is V diag(clip w) V*, so that
+    decomposition is its own and stays cached.
     """
     if not 0.0 <= tol < np.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
@@ -113,6 +123,15 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     if herm_dev > tol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     H = (M + M.conj().T) / 2.0
+    d = H.shape[0]
+    trace = float(np.trace(H).real)
+    if (
+        _frobenius_fits(trace, d, tol)
+        and _frobenius_fits(d - trace, d, tol)
+        and _certified_psd(H, tol)
+        and _certified_psd(np.eye(d) - H, tol)
+    ):
+        return Symbol(matrix=_frozen(H), _tol=np.inf)
     w = _checked_spectrum(np.linalg.eigvalsh(H), tol)
     if w[0] >= 0.0 and w[-1] <= 1.0:
         return Symbol(matrix=_frozen(H), _cache={"eigenvalues": _frozen(w[::-1].copy())})
@@ -120,6 +139,53 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     H = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
     H = (H + H.conj().T) / 2.0
     return Symbol(matrix=_frozen(H), _cache={"eigenvalues": s.eigenvalues, "spectral": s})
+
+
+def _backward_error_constant(n: int) -> float:
+    """c = sqrt(2) gamma_{n+3}, the componentwise backward-error constant of
+    an n x n complex Cholesky factorization (see :func:`_certified_psd`)."""
+    u = np.finfo(float).eps / 2.0
+    return np.sqrt(2.0) * (n + 3) * u / (1.0 - (n + 3) * u)
+
+
+def _frobenius_fits(trace: float, n: int, tol: float) -> bool:
+    """Whether the Frobenius form of :func:`_certified_psd`'s bound can pass
+    for an n x n Hermitian matrix of the given trace.
+
+    The Cholesky factor L of H + (tol/2) 1 has ||L||_F^2 = tr H + n tol/2, up
+    to rounding, so when c (tr H + n tol/2) <= tol/2 the certificate succeeds
+    whenever the factorization completes, and otherwise its Frobenius form
+    fails.  Deciding this before factoring means no factorization is wasted
+    where that form cannot pass (a dense interior symbol beyond d ~ 800)."""
+    return _backward_error_constant(n) * (trace + n * tol / 2.0) <= tol / 2.0
+
+
+def _certified_psd(H: np.ndarray, tol: float) -> bool:
+    """True only when lambda_min(H) >= -tol holds exactly; False means "not
+    certified", and the caller's eigenvalue test decides.
+
+    A Cholesky factorization that runs to completion on
+    H' = H + (tol/2) 1 proves H' + E >= 0 for a backward error with
+    |E| <= c |L||L*|, c = sqrt(2) gamma_{n+3} in complex arithmetic (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3 and sec. 3.6).
+    Hence ||E||_2 <= c || |L| ||_2^2 <= c min(||L||_F^2, ||L||_1 ||L||_inf),
+    and when that is at most tol/2, lambda_min(H) >= -tol/2 - ||E||_2 >= -tol.
+    For 0 <= H <= 1 the Frobenius form is at most sqrt(2) n (n+3) u, inside
+    tol/2 = 5e-11 up to d ~ 560 whatever H is; beyond that the certificate
+    holds when L is spread thinly enough (||L||_1 ||L||_inf small).
+    """
+    n = H.shape[0]
+    half = tol / 2.0
+    try:
+        L = np.linalg.cholesky((H + H.conj().T) / 2.0 + half * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    absL = np.abs(L)
+    spread = min(
+        float(np.vdot(absL, absL).real),
+        float(absL.sum(axis=0).max() * absL.sum(axis=1).max()),
+    )
+    return _backward_error_constant(n) * spread <= half
 
 
 def _trusted_symbol(H: np.ndarray, tol: float = HERMITIAN_TOL) -> Symbol:
@@ -168,6 +234,10 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
     affine combination ``lam*Q1 + (1-lam)*Q2``.  Otherwise raises
     :class:`NotQuasiFreeMixture`.
 
+    The rank is the number of singular values above ``MIX_RANK_TOL`` times
+    the largest entry of ``Q1 - Q2``.  :func:`_near_rank_one` accepts a
+    rank-one difference in O(d^2); only what it declines pays the SVD.
+
     A convex combination of two matrices in [0, 1] lies in [0, 1], and of two
     exactly Hermitian matrices is exactly Hermitian, so the result is not
     re-validated.
@@ -178,7 +248,7 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
         raise InvalidArgument(f"mixture weight must lie in (0, 1), got {lam}")
     D = Q1.matrix - Q2.matrix
     scale = np.abs(D).max()
-    if scale > 0.0:
+    if scale > 0.0 and not _near_rank_one(D, MIX_RANK_TOL * scale):
         sv = np.linalg.svd(D, compute_uv=False)
         rank = int(np.count_nonzero(sv > MIX_RANK_TOL * scale))
         if rank >= 2:
@@ -187,3 +257,20 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
                 "the convex combination of the two states is not quasi-free"
             )
     return _trusted_symbol(lam * Q1.matrix + (1.0 - lam) * Q2.matrix)
+
+
+def _near_rank_one(D: np.ndarray, tol: float) -> bool:
+    """True only when the second singular value of the Hermitian D is at most
+    tol/2; False means "not certified", and the SVD decides.
+
+    Pivoting on the largest |D_jj| leaves R = D - D[:, j] D[j, :] / D_jj, and
+    D - R has rank one, so sigma_2(D) <= ||R||_2 <= ||R||_F by Weyl's
+    inequality.  Accepting only ||R||_F <= tol/2 leaves half of ``tol`` for
+    rounding, so the SVD rule (singular values above ``tol``) would also find
+    rank <= 1."""
+    j = int(np.argmax(np.abs(np.diagonal(D))))
+    pivot = D[j, j]
+    if pivot == 0.0:
+        return False
+    R = D - np.outer(D[:, j], D[j, :] / pivot)
+    return float(np.linalg.norm(R)) <= tol / 2.0

@@ -34,6 +34,18 @@ def brute_subset_products(q) -> np.ndarray:
     return np.array(out)
 
 
+def count_calls(monkeypatch, names, owner=np.linalg) -> list:
+    """Wrap each named function of ``owner`` so that a call appends its name
+    to the returned list."""
+    calls = []
+    for name in names:
+        original = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k)
+        )
+    return calls
+
+
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = G @ G.conj().T

@@ -15,6 +15,7 @@ from quasifree import (
 )
 from quasifree.cli import (
     ParseError,
+    _bench_instance,
     _numeric_pairs,
     _parse_entries,
     format_matrix_document,
@@ -302,6 +303,16 @@ def test_bench_smoke(capsys):
     assert main(["bench", "--dims", "1,2"]) == 0
     out = capsys.readouterr().out
     assert "entropy_s" in out and len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("d", [100, 200])
+def test_bench_instance_is_a_valid_channel(d):
+    # A must stay clear of the unit ball's edge, or B = (1 - A*A)/2 goes
+    # negative and bench exits 5 on some seeds
+    for seed in range(40):
+        Q, channel = _bench_instance(d, np.random.default_rng(seed))
+        assert "eigenvalues" in Q._cache  # read outside entropy_s's timer
+        assert np.linalg.norm(channel.A, 2) < 0.9
 
 
 def test_console_entry_point(tmp_path):

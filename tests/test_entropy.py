@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from conftest import dense_relative, dense_renyi, dense_von_neumann
+from conftest import brute_subset_products, dense_relative, dense_renyi, dense_von_neumann
 
 from quasifree import (
     InvalidOrder,
     KernelConditionViolated,
     density_matrix,
+    exp_element,
     relative_entropy,
     renyi_entropy,
     validate_symbol,
@@ -92,6 +93,35 @@ def test_relative_entropy_matches_dense(rng):
         want = dense_relative(density_matrix(Q1), density_matrix(Q2))
         assert abs(got - want) < 1e-8
         assert got >= -1e-8
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_certified_dust_symbol_matches_dense(d, rng):
+    # the certificate keeps a matrix with +-1e-12 dust at exact 0 and 1 as
+    # given and clips its eigenvalues on read; every functional stays within
+    # the oracle-check tolerances of the dense references
+    U = random_unitary(d, rng)
+    w = np.array([1.0 + 1e-12, -1e-12, 0.35, 1.0, 0.0])[:d]
+    M = (U * w) @ U.conj().T
+    Q = validate_symbol(M)
+    assert np.array_equal(Q.matrix, (M + M.conj().T) / 2.0)  # certified, not clamped
+    q = np.clip(w, 0.0, 1.0)
+    EU = exp_element(U)
+    full = (EU * brute_subset_products(q)) @ EU.conj().T
+    rho = density_matrix(Q)
+    assert np.abs(rho - full).max() < 1e-10
+    assert abs(np.trace(rho).real - 1.0) < 1e-10
+    # no p < 1: there q^p turns rounding-level zero eigenvalues, on either
+    # side, into deviations of order 1e-8, with or without dust
+    for p in (2.0, 3.0):
+        assert abs(renyi_entropy(Q, p) - dense_renyi(full, p)) < 1e-9
+    assert abs(von_neumann_entropy(Q) - dense_von_neumann(full)) < 1e-9
+    # Q as the reference: kernels of Q1 contain those of Q (the kernel branches)
+    Q1 = validate_symbol((U * np.array([1.0, 0.0, 0.8, 1.0, 0.0])[:d]) @ U.conj().T)
+    R = random_symbol(d, rng, 0.05, 0.95)
+    for a, b in ((Q1, Q), (Q, Q), (Q, R)):
+        want = dense_relative(density_matrix(a), density_matrix(b))
+        assert abs(relative_entropy(a, b) - want) < 1e-8
 
 
 def test_renyi_limit_is_von_neumann(rng):

@@ -13,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import count_calls
 
 from quasifree import (
     AffineSymbolMap,
@@ -20,6 +21,7 @@ from quasifree import (
     QuasiFreeChannel,
     SingularB,
     SingularPivot,
+    SpectrumOutOfRange,
     apply_heisenberg_exp,
     apply_heisenberg_state,
     apply_schrodinger,
@@ -32,9 +34,10 @@ from quasifree import (
     spectral,
     validate_symbol,
 )
-from quasifree.channels import CP_TOL, PIVOT_COND_MAX, _certified_psd, cp_bound
+from quasifree.channels import CP_TOL, PIVOT_COND_MAX, cp_bound
 from quasifree.choi import B_COND_MAX
 from quasifree.sampling import random_channel, random_symbol, random_unitary
+from quasifree.symbols import HERMITIAN_TOL, _certified_psd, _frobenius_fits
 
 KINDS = ("lambda", "gamma")
 CONDS = (0.5e12, 0.99e12, 1.01e12, 2e12)
@@ -145,24 +148,86 @@ def test_classify_decides_as_eigen_tests(sign, transpose, rank, rng, d=4):
 def test_clamped_symbol_pays_one_eigh_through_relative_entropy(rng, monkeypatch):
     d = 6
     U = random_unitary(d, rng)
-    w = np.array([1.0 + 1e-12, 1.0, 0.7, 0.2, 0.0, -1e-12])
+    # dust of 0.8 tol lies beyond the certificate's tol/2 shift: the clamp path
+    w = np.array([1.0 + 8e-11, 1.0, 0.7, 0.2, 0.0, -8e-11])
     Q1 = validate_symbol((U * np.array([1.0, 1.0, 0.4, 0.5, 0.0, 0.0])) @ U.conj().T)
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda H, _n=name, _f=original: calls.append(_n) or _f(H)
-        )
-    Q2 = validate_symbol((U * w) @ U.conj().T)  # dust beyond [0, 1]: the clamp path
+    Q1.eigenvalues
+    calls = count_calls(monkeypatch, ("eigh", "eigvalsh"))
+    Q2 = validate_symbol((U * w) @ U.conj().T)
+    assert calls == ["eigvalsh", "eigh"]
     value = relative_entropy(Q1, Q2)
     s = spectral(Q2)
-    assert sorted(calls) == ["eigh", "eigvalsh"]
+    assert calls == ["eigvalsh", "eigh"]  # relative entropy reads the clamp's spectrum
     assert s is spectral(Q2) and np.array_equal(s.eigenvalues, Q2.eigenvalues)
     assert np.abs(s.eigenvalues - np.clip(np.sort(w)[::-1], 0.0, 1.0)).max() < 1e-14
+    assert np.abs(Q2.matrix - (U * np.clip(w, 0.0, 1.0)) @ U.conj().T).max() < 1e-14
     # Q1 and Q2 commute; modes at 0 or 1 in both contribute nothing
     q1, q2 = np.array([0.4, 0.5]), np.array([0.7, 0.2])
     expect = np.sum(q1 * np.log(q1 / q2) + (1 - q1) * np.log((1 - q1) / (1 - q2)))
     assert abs(value - expect) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "label, w",
+    [
+        ("interior", [0.9, 0.7, 0.5, 0.3, 0.2, 0.1]),
+        ("exact 0 and 1", [1.0, 1.0, 0.6, 0.0, 0.0, 0.0]),
+        ("dust below tol/2", [1.0 + 4e-11, 1.0, 0.6, 0.3, 1e-12, -4e-11]),
+    ],
+)
+def test_certified_symbol_validates_without_eigendecomposition(label, w, rng, monkeypatch):
+    U = random_unitary(len(w), rng)
+    M = (U * np.array(w)) @ U.conj().T
+    calls = count_calls(monkeypatch, ("eigh", "eigvalsh"))
+    Q = validate_symbol(M)
+    assert calls == [], label
+    # kept as given: the Hermitian part, not rebuilt from a spectrum
+    assert np.array_equal(Q.matrix, (M + M.conj().T) / 2.0), label
+    q = Q.eigenvalues
+    assert calls == ["eigvalsh"] and Q.eigenvalues is q, label
+    assert q.min() >= 0.0 and q.max() <= 1.0 and np.all(np.diff(q) <= 0.0), label
+    assert np.abs(q - np.clip(np.sort(w)[::-1], 0.0, 1.0)).max() < 1e-14, label
+
+
+def test_certified_symbol_read_never_raises(rng):
+    # a tol far above the default: the certificate proves the range at that
+    # tol, so neither read may test it again at another tolerance
+    d = 5
+    U = random_unitary(d, rng)
+    w = np.array([1.0 + 4e-7, 0.8, 0.5, 0.2, -4e-7])
+    M = (U * w) @ U.conj().T
+    for read in (lambda Q: Q.eigenvalues, lambda Q: spectral(Q).eigenvalues):
+        Q = validate_symbol(M, tol=1e-6)
+        assert np.abs(Q.matrix - M).max() < 1e-15  # the dust stays in the matrix
+        q = read(Q)
+        assert q.min() == 0.0 and q.max() == 1.0
+        assert np.abs(q - np.clip(w, 0.0, 1.0)).max() < 1e-14
+    with pytest.raises(SpectrumOutOfRange):
+        validate_symbol(M, tol=1e-7)
+
+
+def test_frobenius_gate_refuses_where_the_certificate_cannot_pass():
+    tol = HERMITIAN_TOL
+    # a half-filled symbol (tr H = d/2, and so tr(1 - H)) passes up to d = 796
+    assert _frobenius_fits(796 / 2, 796, tol) and not _frobenius_fits(797 / 2, 797, tol)
+    assert _frobenius_fits(250.0, 500, tol) and not _frobenius_fits(1000.0, 2000, tol)
+    # any symbol with trace at most d passes up to d = 562, whatever its filling
+    assert _frobenius_fits(562.0, 562, tol) and not _frobenius_fits(563.0, 563, tol)
+    assert not _frobenius_fits(1.0, 4, 1e-18) and _frobenius_fits(0.0, 4, 0.0)
+
+
+def test_validation_skips_cholesky_where_the_gate_refuses(monkeypatch):
+    calls = count_calls(monkeypatch, ("cholesky", "eigvalsh"))
+    Q = validate_symbol(np.diag([0.75, 0.5, 0.25]), tol=1e-18)  # c tr H > tol/2
+    assert calls == ["eigvalsh"]
+    assert np.array_equal(Q.eigenvalues, [0.75, 0.5, 0.25])
+    calls.clear()
+    validate_symbol(np.diag([0.75, 0.5, 0.25]))
+    assert calls == ["cholesky", "cholesky"]
+    calls.clear()
+    with pytest.raises(SpectrumOutOfRange):
+        validate_symbol(np.diag([1.5, 0.5, 0.25]))
+    assert calls == ["cholesky", "cholesky", "eigvalsh"]  # 1 - H declines; eigvalsh decides
 
 
 def test_certificate_declines_below_rounding():

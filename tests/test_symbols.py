@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import count_calls
 
 from quasifree import (
     DimensionMismatch,
@@ -13,7 +14,8 @@ from quasifree import (
     spectral,
     validate_symbol,
 )
-from quasifree.sampling import random_hermitian, random_symbol
+from quasifree.sampling import random_hermitian, random_symbol, random_unitary
+from quasifree.symbols import MIX_RANK_TOL
 
 
 def test_validate_accepts_scalar_symbol():
@@ -116,6 +118,50 @@ def test_mix_rank_two_error():
     Q2 = validate_symbol(np.diag([0.0, 0.0]))
     with pytest.raises(NotQuasiFreeMixture):
         mix_symbols(Q1, Q2, 0.5)
+    # a difference with zero diagonal has no pivot; the SVD finds rank 2
+    Q1 = validate_symbol(np.array([[0.5, 0.1], [0.1, 0.5]]))
+    Q2 = validate_symbol(np.diag([0.5, 0.5]))
+    with pytest.raises(NotQuasiFreeMixture, match="numerical rank 2"):
+        mix_symbols(Q1, Q2, 0.5)
+
+
+def test_mix_rank_one_difference_skips_svd(rng, monkeypatch):
+    d = 6
+    Q2 = random_symbol(d, rng, 0.1, 0.8)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    Q1 = validate_symbol(Q2.matrix + 0.15 * np.outer(v, v.conj()))
+    calls = count_calls(monkeypatch, ("svd",))
+    for lam in (0.2, 0.7):
+        for a, b in ((Q1, Q2), (Q2, Q1)):
+            mixed = mix_symbols(a, b, lam)
+            assert np.abs(mixed.matrix - (lam * a.matrix + (1 - lam) * b.matrix)).max() < 1e-15
+    assert calls == []
+
+
+@pytest.mark.parametrize("ratio, accepted", [(1.05, False), (0.9, True), (0.3, True)])
+def test_mix_second_singular_value_near_threshold(ratio, accepted, rng, monkeypatch):
+    # D = U diag(a, sigma2, 0, 0) U*: the rank rule counts singular values above
+    # MIX_RANK_TOL max|D|, and only sigma2 <= half that skips the SVD
+    d = 4
+    U = random_unitary(d, rng)
+    P = [np.outer(U[:, k], U[:, k].conj()) for k in range(2)]
+    base = 0.3 * P[0]
+    scale = np.abs(base).max()
+    for _ in range(3):  # max|D| moves with sigma2; settle it
+        D = base + ratio * MIX_RANK_TOL * scale * P[1]
+        scale = np.abs(D).max()
+    sv = np.linalg.svd(D, compute_uv=False)
+    assert (sv[1] <= MIX_RANK_TOL * scale) == accepted
+    Q2 = validate_symbol(0.5 * np.eye(d))
+    Q1 = validate_symbol(Q2.matrix + D)
+    calls = count_calls(monkeypatch, ("svd",))
+    if accepted:
+        mix_symbols(Q1, Q2, 0.5)
+    else:
+        with pytest.raises(NotQuasiFreeMixture, match="numerical rank 2"):
+            mix_symbols(Q1, Q2, 0.5)
+    assert len(calls) == (0 if ratio < 0.5 else 1)
 
 
 def test_mix_oracle_identity(rng):
