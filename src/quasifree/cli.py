@@ -236,8 +236,7 @@ def _bench_instance(d: int, rng: np.random.Generator):
     # certify the range without one, so read it here, outside the timer
     Q.eigenvalues
     # entries of variance 1/(8d) put ||A||_2 near 1/sqrt(2), well inside the
-    # unit ball, so B = (1 - A*A)/2 is positive (variance 1/(4d) puts ||A||_2
-    # at the Marchenko-Pastur edge 1, where B is sometimes negative)
+    # unit ball, so B = (1 - A*A)/2 is positive
     A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / (4.0 * np.sqrt(d))
     B = 0.5 * (np.eye(d) - A.conj().T @ A)
     return Q, new_channel("lambda", A, B)

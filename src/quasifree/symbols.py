@@ -35,7 +35,7 @@ class Symbol:
     their range test runs, at the producer's tolerance ``_tol``, when the
     spectrum is first read.  A symbol that :func:`validate_symbol` certified
     by Cholesky is kept as given, so its matrix may have eigenvalues outside
-    [0, 1] by dust within the validation tolerance; that range is already
+    [0, 1] by dust within ``min(tol, HERMITIAN_TOL)``; that range is already
     proven, so its ``_tol`` is infinite and the first read only clips.
     """
 
@@ -110,7 +110,11 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H), each
     tried only where its Frobenius form can pass (:func:`_frobenius_fits`, an
     O(d) test on the trace).  Certified matrices are kept as given, without an
-    eigendecomposition; their eigenvalues are clipped on read.  Otherwise
+    eigendecomposition; their eigenvalues are clipped on read.  The
+    certificates run at ``min(tol, HERMITIAN_TOL)``, not at ``tol``: dust kept
+    in the matrix then stays within what consumers with fixed tolerances
+    accept (mixtures, channel images, the relative-entropy kernel test), and
+    larger dust, even within a larger ``tol``, is clamped.  Otherwise
     eigvalsh decides and words the error, and violations within ``tol`` are
     treated as floating-point dust and clamped away, through
     :func:`spectral`: the clamped matrix is V diag(clip w) V*, so that
@@ -125,11 +129,12 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     H = (M + M.conj().T) / 2.0
     d = H.shape[0]
     trace = float(np.trace(H).real)
+    kept = min(tol, HERMITIAN_TOL)
     if (
-        _frobenius_fits(trace, d, tol)
-        and _frobenius_fits(d - trace, d, tol)
-        and _certified_psd(H, tol)
-        and _certified_psd(np.eye(d) - H, tol)
+        _frobenius_fits(trace, d, kept)
+        and _frobenius_fits(d - trace, d, kept)
+        and _certified_psd(H, kept)
+        and _certified_psd(np.eye(d) - H, kept)
     ):
         return Symbol(matrix=_frozen(H), _tol=np.inf)
     w = _checked_spectrum(np.linalg.eigvalsh(H), tol)

@@ -190,20 +190,41 @@ def test_certified_symbol_validates_without_eigendecomposition(label, w, rng, mo
 
 
 def test_certified_symbol_read_never_raises(rng):
-    # a tol far above the default: the certificate proves the range at that
-    # tol, so neither read may test it again at another tolerance
+    # a tol far above the default: dust within HERMITIAN_TOL/2 is certified
+    # and kept, and neither read may test the range again at another tolerance
     d = 5
     U = random_unitary(d, rng)
-    w = np.array([1.0 + 4e-7, 0.8, 0.5, 0.2, -4e-7])
+    w = np.array([1.0 + 4e-11, 0.8, 0.5, 0.2, -4e-11])
     M = (U * w) @ U.conj().T
     for read in (lambda Q: Q.eigenvalues, lambda Q: spectral(Q).eigenvalues):
         Q = validate_symbol(M, tol=1e-6)
-        assert np.abs(Q.matrix - M).max() < 1e-15  # the dust stays in the matrix
+        assert np.array_equal(Q.matrix, (M + M.conj().T) / 2.0)  # kept as given
         q = read(Q)
         assert q.min() == 0.0 and q.max() == 1.0
         assert np.abs(q - np.clip(w, 0.0, 1.0)).max() < 1e-14
+
+
+@pytest.mark.parametrize("dust", [8e-11, 4e-7])
+def test_large_tol_clamps_dust_beyond_the_certificate(dust, rng, monkeypatch):
+    # the certificate runs at min(tol, HERMITIAN_TOL) whatever tol is, so
+    # dust beyond HERMITIAN_TOL/2 is clamped, and the symbol feeds consumers
+    # that test against their own fixed tolerances
+    d = 5
+    U = random_unitary(d, rng)
+    w = np.array([1.0 + dust, 0.8, 0.5, 0.2, -dust])
+    calls = count_calls(monkeypatch, ("eigvalsh",))
+    Q = validate_symbol((U * w) @ U.conj().T, tol=1e-6)
+    assert calls == ["eigvalsh"]
+    clean = np.clip(w, 0.0, 1.0)
+    assert np.abs(Q.matrix - (U * clean) @ U.conj().T).max() < 1e-14
+    assert abs(relative_entropy(Q, Q)) < 1e-12
+    image = apply_schrodinger(new_channel("lambda", np.eye(d), np.zeros((d, d))), Q)
+    assert np.abs(image.eigenvalues - clean).max() < 1e-14
+    other = validate_symbol((U * np.array([1.0, 0.6, 0.5, 0.2, 0.0])) @ U.conj().T)
+    mixed = mix_symbols(Q, other, 0.5)
+    assert np.abs(mixed.eigenvalues - [1.0, 0.7, 0.5, 0.2, 0.0]).max() < 1e-14
     with pytest.raises(SpectrumOutOfRange):
-        validate_symbol(M, tol=1e-7)
+        validate_symbol((U * w) @ U.conj().T, tol=dust / 2.0)
 
 
 def test_frobenius_gate_refuses_where_the_certificate_cannot_pass():
