@@ -60,9 +60,10 @@ def dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
 def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     """The full symbol-versus-oracle suite at dimension d; channel checks run
     for d <= 5 and Choi checks for d <= 4 (the Stinespring contractions cost
-    O(32^d), the dense Choi matrix 64^d).  A channel trial builds one Kraus
-    factor, a Choi trial one Choi matrix C and its spectrum, whose 2^-d-scaled
-    copy is J's; their symbol sides use the identities density-eigenvalues and
+    O(32^d), the dense Choi matrix sum_m C(2d, d+m)^3 over its charge blocks
+    and the eigvalsh of C 64^d).  A channel trial builds one Kraus factor, a
+    Choi trial one Choi matrix C and its spectrum, whose 2^-d-scaled copy is
+    J's; their symbol sides use the identities density-eigenvalues and
     exp-spectrum certify, and the dense sides stay the Stinespring oracle."""
     rng = np.random.default_rng(seed)
     results = []

@@ -22,11 +22,19 @@ Gamma-kind channels route through the lambda channel with conjugated A
 composed with the particle-hole automorphism, a signed reversal of the Fock
 basis that the factor applies as an index, independently of the symbol-side
 twist it checks.
+
+The factor conserves particle number: K[a, L, i, c] is read off E(V') on 2d
+modes, so it vanishes unless |a| + |L| = |i| + |c| (d - |a| in place of |a|
+for the gamma kind, whose reversal sends a to its complement).  The dense
+Choi matrix is therefore the direct sum of its charge blocks, one product
+per charge m = -d..d of C(2d, d+m)-sided blocks, which :func:`dense_choi`
+computes alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,10 +43,12 @@ from .errors import (
     DimensionCap,
     DimensionMismatch,
     InconsistentB,
+    QuasifreeError,
     SingularB,
     SpectrumOutOfRange,
 )
 from .fock import (
+    _occupation,
     _particle_hole_signs,
     _split_permutation,
     _subset_weights,
@@ -235,16 +245,66 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
     return _contract(_dual_factor(_kraus_factor(channel)), rho)
 
 
+@lru_cache(maxsize=None)
+def _charge_blocks(d: int, twisted: bool) -> tuple:
+    """Per charge m = -d..d, the triple (rows, k_rows, k_cols) of index tables
+    of the charge-m block of M[(i, a), (L, c)] = K[a, L, i, c].
+
+    Row (i, a) has charge N(a) - |i|, N(a) = |a|, or d - |a| when twisted;
+    column (L, c) has charge |c| - |L|; K vanishes off equal charges.  rows
+    are the row numbers i n + a of M and C, and the flat offset of
+    K[a, L, i, c] is k_rows[(i, a)] + k_cols[(L, c)]; each table has
+    C(2d, d+m) entries.
+    """
+    n = 1 << d
+    size = _occupation(d).sum(axis=1)
+    out_charge = d - size if twisted else size
+    outer, inner = np.divmod(np.arange(n * n), n)  # (i, a) or (L, c)
+    row_charge = out_charge[inner] - size[outer]
+    col_charge = size[inner] - size[outer]
+    row_offset = inner * n**3 + outer * n
+    col_offset = outer * n**2 + inner
+    blocks = []
+    for m in range(-d, d + 1):
+        rows = np.flatnonzero(row_charge == m)
+        tables = (rows, row_offset[rows], col_offset[col_charge == m])
+        for table in tables:
+            table.flags.writeable = False
+        blocks.append(tables)
+    return tuple(blocks)
+
+
 def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
     """Choi matrix sum_ij e_ij (x) channel*(e_ij) over the Fock matrix units,
     with the Heisenberg action realized by the Stinespring oracle.  Its
-    partial trace over the first factor is the identity."""
+    partial trace over the first factor is the identity.
+
+    C = M M* for M[(i, a), (L, c)] = K[a, L, i, c], and M is zero off its
+    particle-number charge blocks, so C is the direct sum of the block
+    products: sum_m C(2d, d+m)^3 multiply-adds (3.8e7 at d = 5) in place of
+    the 4^(3d) of the full product (1.07e9).  One exact count proves the
+    grading: the nonzero components of K must all lie in the blocks, or
+    :class:`QuasifreeError` is raised rather than an entry dropped.
+    """
     d = channel.dim
     _check_dense_dim(d)
     n = fock_basis(d).size
+    _, _, twisted = _as_lambda(channel)
     # C[(i,a),(j,b)] = [channel*(e_ij)]_ab = sum_{L,c} K[a,L,i,c] conj K[b,L,j,c]
-    M = _kraus_factor(channel).transpose(2, 0, 1, 3).reshape(n * n, n * n)
-    return M @ M.conj().T
+    K = _kraus_factor(channel).reshape(-1)
+    C = np.zeros((n * n, n * n), dtype=complex)
+    kept = 0
+    for rows, k_rows, k_cols in _charge_blocks(d, twisted):
+        block = K[k_rows[:, None] + k_cols]
+        kept += np.count_nonzero(block.view(float))
+        C[np.ix_(rows, rows)] = block @ block.conj().T
+    leaked = np.count_nonzero(K.view(float)) - kept
+    if leaked:
+        raise QuasifreeError(
+            f"the Kraus factor has {leaked} nonzero components off its "
+            "particle-number charge blocks"
+        )
+    return C
 
 
 def dense_jamiolkowski(channel: QuasiFreeChannel) -> np.ndarray:

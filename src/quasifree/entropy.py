@@ -24,7 +24,11 @@ def renyi_entropy(Q: Symbol, p: float) -> float:
     use :func:`von_neumann_entropy` for the p -> 1 limit."""
     if not 0.0 < p < np.inf or p == 1.0:
         raise InvalidOrder(f"Renyi order must be in (0,1) or (1,inf), got {p}")
+    # eigvalsh puts an exact 0 or 1 within about d u of it; at p < 1 that dust
+    # would enter as dust^p, so it is snapped to the exact value first
+    snap = Q.dim * np.finfo(float).eps
     q = Q.eigenvalues
+    q = np.where(q <= snap, 0.0, np.where(q >= 1.0 - snap, 1.0, q))
     return float(np.sum(np.log((1.0 - q) ** p + q**p)) / (1.0 - p))
 
 

@@ -9,6 +9,7 @@ from quasifree import (
     InconsistentB,
     NotCompletelyPositive,
     QuasiFreeChannel,
+    QuasifreeError,
     ScaleOutOfRange,
     SingularB,
     apply_schrodinger,
@@ -17,6 +18,7 @@ from quasifree import (
     dense_jamiolkowski,
     density_matrix,
     exp_element,
+    fock_basis,
     jamiolkowski_symbol,
     new_channel,
     parity_operator,
@@ -182,6 +184,42 @@ def test_dense_choi_partial_trace(rng):
         C = dense_choi(random_channel(d, rng, kind))
         n = 2**d
         assert np.abs(partial_trace(C, (n, n), keep=1) - np.eye(n)).max() < 1e-9
+
+
+def row_charges(d, kind):
+    """Charge N(a) - |i| of Choi row (i, a), with N(a) = |a|, or d - |a| for
+    gamma, whose particle-hole reversal sends a to its complement."""
+    size = np.array([bin(int(m)).count("1") for m in fock_basis(d).masks])
+    out = d - size if kind == "gamma" else size
+    return (out[None, :] - size[:, None]).ravel()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dense_choi_is_the_full_product_by_charge_blocks(rng, kind):
+    for d in (1, 2, 3, 4, 5):
+        n = 2**d
+        c = random_channel(d, rng, kind)
+        C = dense_choi(c)
+        M = _kraus_factor(c).transpose(2, 0, 1, 3).reshape(n * n, n * n)
+        full = M @ M.conj().T
+        assert np.abs(C - full).max() < 1e-13 * max(1.0, np.abs(full).max())
+        charge = row_charges(d, kind)
+        assert not C[charge[:, None] != charge[None, :]].any()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dense_choi_refuses_an_off_charge_kraus_entry(rng, kind, monkeypatch):
+    d = 2
+    c = random_channel(d, rng, kind)
+    K = _kraus_factor(c)
+    # K[a=0, L=0, i, c=0] has charge N(0) - |i| against 0: N(0) = 0 for
+    # lambda, so i = full is off charge; N(0) = d for gamma, so i = vacuum is
+    i = 2**d - 1 if kind == "lambda" else 0
+    assert row_charges(d, kind)[i * 2**d] != 0 and K[0, 0, i, 0] == 0.0
+    K[0, 0, i, 0] = 1e-3
+    monkeypatch.setattr(quasifree.choi, "_kraus_factor", lambda channel: K)
+    with pytest.raises(QuasifreeError, match="charge blocks"):
+        dense_choi(c)
 
 
 def test_dense_choi_dimension_cap():

@@ -111,8 +111,9 @@ def test_certified_dust_symbol_matches_dense(d, rng):
     rho = density_matrix(Q)
     assert np.abs(rho - full).max() < 1e-10
     assert abs(np.trace(rho).real - 1.0) < 1e-10
-    # no p < 1: there q^p turns rounding-level zero eigenvalues, on either
-    # side, into deviations of order 1e-8, with or without dust
+    # no p < 1: there the dense reference's q^p turns rounding-level zero
+    # eigenvalues of rho into deviations of order 1e-8, with or without dust
+    # (the closed form snaps them: test_renyi_exact_zero_one_spectrum)
     for p in (2.0, 3.0):
         assert abs(renyi_entropy(Q, p) - dense_renyi(full, p)) < 1e-9
     assert abs(von_neumann_entropy(Q) - dense_von_neumann(full)) < 1e-9
@@ -122,6 +123,17 @@ def test_certified_dust_symbol_matches_dense(d, rng):
     for a, b in ((Q1, Q), (Q, Q), (Q, R)):
         want = dense_relative(density_matrix(a), density_matrix(b))
         assert abs(relative_entropy(a, b) - want) < 1e-8
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_renyi_exact_zero_one_spectrum(d, rng):
+    # rounding-level eigenvalues at an exact 0 or 1 add no entropy, also at
+    # p < 1 where q^p would turn 1e-17 into 3e-9; only 0.35 contributes
+    U = random_unitary(d, rng)
+    Q = validate_symbol((U * np.array([1.0, 0.0, 0.35, 1.0, 0.0])[:d]) @ U.conj().T)
+    for p in (0.5, 2.0, 3.0):
+        exact = np.log(0.65**p + 0.35**p) / (1.0 - p)
+        assert abs(renyi_entropy(Q, p) - exact) < 1e-12
 
 
 def test_renyi_limit_is_von_neumann(rng):
