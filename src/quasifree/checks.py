@@ -13,11 +13,12 @@ import numpy as np
 
 from .channels import apply_heisenberg_exp, apply_heisenberg_state, apply_schrodinger, compose
 from .choi import (
+    _choi_blocks,
     _contract,
+    _direct_sum,
     _dual_factor,
     _kraus_factor,
     choi_exponential_form,
-    dense_choi,
     jamiolkowski_symbol,
 )
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
@@ -58,13 +59,15 @@ def dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
 
 
 def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
-    """The full symbol-versus-oracle suite at dimension d; channel checks run
-    for d <= 5 and Choi checks for d <= 4 (the Stinespring contractions cost
-    O(32^d), the dense Choi matrix sum_m C(2d, d+m)^3 over its charge blocks
-    and the eigvalsh of C 64^d).  A channel trial builds one Kraus factor, a
-    Choi trial one Choi matrix C and its spectrum, whose 2^-d-scaled copy is
-    J's; their symbol sides use the identities density-eigenvalues and
-    exp-spectrum certify, and the dense sides stay the Stinespring oracle."""
+    """The full symbol-versus-oracle suite at dimension d; channel and Choi
+    checks run for d <= 5 (the Stinespring contractions cost O(32^d), the
+    dense Choi matrix and its spectrum sum_m C(2d, d+m)^3 over its charge
+    blocks).  A channel trial builds one Kraus factor, a Choi trial the charge
+    blocks C_m of one Choi matrix C = (+)_m C_m and their spectra, whose
+    union is C's and, scaled by 2^-d, J's; the dense C is assembled only for
+    its partial trace.  Their symbol sides use the identities
+    density-eigenvalues and exp-spectrum certify, and the dense sides stay
+    the Stinespring oracle."""
     rng = np.random.default_rng(seed)
     results = []
     kinds = ("lambda", "gamma")
@@ -162,13 +165,13 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
         results.append(CheckResult("channel-composition", dev_comp, 1e-10))
         results.append(CheckResult("heisenberg-state-vs-dense", dev_heis, 1e-8))
 
-    if d <= 4:
         dev_jam = dev_tr1 = dev_choi = 0.0
         n = 1 << d
         for t in range(max(1, trials // 4)):
             c = random_channel(d, rng, kinds[t % 2])
-            C = dense_choi(c)
-            wd = np.sort(np.linalg.eigvalsh(C))
+            blocks = _choi_blocks(c)
+            wd = np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in blocks]))
+            C = _direct_sum(blocks, n * n)
             # J = S C^T S / 2^d for the factor swap S, so C / 2^d has J's spectrum
             sym = np.sort(_subset_weights(jamiolkowski_symbol(c).symbol.eigenvalues))
             dev_jam = max(dev_jam, float(np.abs(wd / n - sym).max()))

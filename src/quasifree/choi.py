@@ -15,9 +15,10 @@ the test suite.  Both square roots come from one SVD of A, since 1 - AA*
 and 1 - A*A share the spectrum 1 - s^2, and the environment symbol's
 eigenvectors W from :func:`spectral`.  The environment state
 E(W) diag(p) E(W)* is never formed:
-E is multiplicative, so :func:`_kraus_factor` folds E(W)* into the rotation
-once and both actions are one contraction :func:`_contract`: of K for
-channel*(x) = sum K x K*, of its trace dual for the Schrodinger action.
+E is multiplicative, so :func:`_kraus_entries` folds E(W)* into the rotation
+once and both actions are one contraction :func:`_contract`: of the Kraus
+factor K for channel*(x) = sum K x K*, of its trace dual for the
+Schrodinger action.
 Gamma-kind channels route through the lambda channel with conjugated A
 composed with the particle-hole automorphism, a signed reversal of the Fock
 basis that the factor applies as an index, independently of the symbol-side
@@ -25,16 +26,21 @@ twist it checks.
 
 The factor conserves particle number: K[a, L, i, c] is read off E(V') on 2d
 modes, so it vanishes unless |a| + |L| = |i| + |c| (d - |a| in place of |a|
-for the gamma kind, whose reversal sends a to its complement).  The dense
-Choi matrix is therefore the direct sum of its charge blocks, one product
-per charge m = -d..d of C(2d, d+m)-sided blocks, which :func:`dense_choi`
-computes alone.
+for the gamma kind, whose reversal sends a to its complement).  Its
+C(4d, 2d) entries that can be nonzero (17.6 % of the 16^d at d = 5) are
+computed alone, as the sector blocks of E(V'), and placed by index tables
+cached per (d, kind): :func:`_kraus_factor` scatters them into a dense K
+for the contractions, and :func:`dense_choi` gathers from them the 2d + 1
+charge blocks of which the dense Choi matrix is the direct sum, never
+forming K.  That the blocks hold every entry exactly once is proved once,
+when their tables are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -48,11 +54,11 @@ from .errors import (
     SpectrumOutOfRange,
 )
 from .fock import (
+    _exp_blocks,
     _occupation,
     _particle_hole_signs,
     _split_permutation,
     _subset_weights,
-    exp_element,
     fock_basis,
 )
 from .symbols import SpectralSymbol, Symbol, _operand, _trusted_symbol, spectral
@@ -182,30 +188,88 @@ def _environment_symbol(
         raise InconsistentB(str(exc)) from exc
 
 
-def _kraus_factor(channel: QuasiFreeChannel) -> np.ndarray:
-    """K[a, L, i, c] with channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*.
+@lru_cache(maxsize=None)
+def _kraus_tables(d: int, twisted: bool) -> tuple:
+    """Layout of the entries of K[a, L, i, c] that can be nonzero, as the
+    tuple (starts, env, signs, krow).
+
+    The entries are the sector blocks of E(V') on 2d modes, each row-major,
+    in sector order: sector k fills entries starts[k]:starts[k+1].  Row state
+    r of the 2d modes splits into (a, L), column state s into (i, c), by
+    :func:`_split_permutation`; env[r] = L indexes the weight sqrt(p_L) of
+    row r, signs[r] is the particle-hole sign of a when twisted (None
+    otherwise), and krow[r] = a n + L, a reversed to n - 1 - a when twisted.
+    """
+    n = 1 << d
+    a, env = np.divmod(_split_permutation(d, d), n)
+    signs = None
+    if twisted:
+        signs = _particle_hole_signs(d)[a]
+        a = n - 1 - a
+    krow = a * n + env
+    starts = np.cumsum([0] + [comb(2 * d, k) ** 2 for k in range(2 * d + 1)])
+    for table in (starts, env, signs, krow):
+        if table is not None:
+            table.flags.writeable = False
+    return starts, env, signs, krow
+
+
+@lru_cache(maxsize=None)
+def _kraus_offsets(d: int, twisted: bool) -> np.ndarray:
+    """The flat offset krow[r] n^2 + t[s] in K of each entry (r, s) of
+    :func:`_kraus_tables`, t the split permutation; only the dense K reads
+    them, so :func:`dense_choi` never builds them."""
+    n = 1 << d
+    starts, _, _, krow = _kraus_tables(d, twisted)
+    t = _split_permutation(d, d)
+    basis = fock_basis(2 * d)
+    offsets = np.empty(starts[-1], dtype=np.int32)
+    for k in range(2 * d + 1):
+        sl = basis.sector(k)
+        offsets[starts[k] : starts[k + 1]] = (krow[sl, None] * (n * n) + t[sl]).ravel()
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _kraus_entries(channel: QuasiFreeChannel) -> tuple[np.ndarray, bool]:
+    """The entries of the Kraus factor K[a, L, i, c] that can be nonzero, laid
+    out as :func:`_kraus_tables` says, and whether the channel is twisted.
 
     The environment state is E(W) diag(p) E(W)*, W the eigenvectors of its
     symbol and p their subset weights; 1 (x) E(W)* = U E(1 + W*) U* under the
     split isomorphism U, so K is the rotation by
     V' = [[A, sqrt(1-AA*)], [-W* sqrt(1-A*A), W* A*]] with index L scaled by
     sqrt(p_L).  gamma(A, B) is lambda(conj A, B) after rho -> P* rho P, so its
-    factor is (P (x) 1) K, P the particle-hole unitary.
+    factor is (P (x) 1) K, P the particle-hole unitary: a signed reversal of
+    a.  E(V') conserves particle number, so its sector blocks, rows scaled,
+    are all the entries.
     """
     d = channel.dim
-    n = 1 << d
     A, B, twisted = _as_lambda(channel)
     root_left, root_right, pinv_right = _stinespring_roots(A)
     env = _environment_symbol(root_right, pinv_right, B)
     Wh = env.eigenvectors.conj().T
     V = np.block([[A, root_left], [-Wh @ root_right, Wh @ A.conj().T]])
-    t = _split_permutation(d, d)
-    K = np.empty((n, n, n, n), dtype=complex)
-    K.reshape(n * n, n * n)[np.ix_(t, t)] = exp_element(V)  # U E(V') U*
-    K *= np.sqrt(_subset_weights(env.eigenvalues))[:, None, None]
+    starts, env_of_row, signs, _ = _kraus_tables(d, twisted)
+    scale = np.sqrt(_subset_weights(env.eigenvalues))[env_of_row]
     if twisted:
-        K = K[::-1] * _particle_hole_signs(d)[::-1, None, None, None]
-    return K
+        scale *= signs
+    basis = fock_basis(2 * d)
+    entries = np.empty(starts[-1], dtype=complex)
+    for k, block in enumerate(_exp_blocks(V)):
+        out = entries[starts[k] : starts[k + 1]].reshape(block.shape)
+        np.multiply(block, scale[basis.sector(k), None], out=out)
+    return entries, twisted
+
+
+def _kraus_factor(channel: QuasiFreeChannel) -> np.ndarray:
+    """K[a, L, i, c] with channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*:
+    the entries of :func:`_kraus_entries` scattered into zeros."""
+    entries, twisted = _kraus_entries(channel)
+    n = 1 << channel.dim
+    K = np.zeros(n**4, dtype=complex)
+    K[_kraus_offsets(channel.dim, twisted)] = entries
+    return K.reshape(n, n, n, n)
 
 
 def _contract(K: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -247,64 +311,95 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
 
 @lru_cache(maxsize=None)
 def _charge_blocks(d: int, twisted: bool) -> tuple:
-    """Per charge m = -d..d, the triple (rows, k_rows, k_cols) of index tables
-    of the charge-m block of M[(i, a), (L, c)] = K[a, L, i, c].
+    """Per charge m = -d..d, the pair (rows, gather) of tables of the charge-m
+    block of M[(i, a), (L, c)] = K[a, L, i, c].
 
     Row (i, a) has charge N(a) - |i|, N(a) = |a|, or d - |a| when twisted;
     column (L, c) has charge |c| - |L|; K vanishes off equal charges.  rows
-    are the row numbers i n + a of M and C, and the flat offset of
-    K[a, L, i, c] is k_rows[(i, a)] + k_cols[(L, c)]; each table has
-    C(2d, d+m) entries.
+    are the row numbers i n + a of M and C, and gather[x, y] is the index,
+    among the entries of :func:`_kraus_entries`, of the block's entry at
+    row x and column y: entry (r, s) of sector k of E(V'), r the 2d-mode
+    state of (a, L) (a reversed when twisted) and s that of (i, c).  Each
+    table has C(2d, d+m) rows; :func:`_check_cover` proves that together they
+    hold every entry exactly once.
     """
     n = 1 << d
     size = _occupation(d).sum(axis=1)
-    out_charge = d - size if twisted else size
     outer, inner = np.divmod(np.arange(n * n), n)  # (i, a) or (L, c)
-    row_charge = out_charge[inner] - size[outer]
+    row_charge = (d - size if twisted else size)[inner] - size[outer]
     col_charge = size[inner] - size[outer]
-    row_offset = inner * n**3 + outer * n
-    col_offset = outer * n**2 + inner
+    # the 2d-mode state of each pair (left, right), its sector, place and width
+    state = np.empty(n * n, dtype=np.intp)
+    state[_split_permutation(d, d)] = np.arange(n * n)
+    sector = (size[:, None] + size).ravel()
+    basis = fock_basis(2 * d)
+    place = state - np.array([basis.sector(k).start for k in range(2 * d + 1)])[sector]
+    width = np.array([comb(2 * d, k) for k in range(2 * d + 1)])
+    starts, *_ = _kraus_tables(d, twisted)
+    a = n - 1 - inner if twisted else inner
     blocks = []
     for m in range(-d, d + 1):
         rows = np.flatnonzero(row_charge == m)
-        tables = (rows, row_offset[rows], col_offset[col_charge == m])
-        for table in tables:
-            table.flags.writeable = False
-        blocks.append(tables)
+        cols = np.flatnonzero(col_charge == m)
+        r = a[rows, None] * n + outer[cols]  # (a, L)
+        s = outer[rows, None] * n + inner[cols]  # (i, c)
+        k = sector[r]
+        gather = (starts[k] + place[r] * width[k] + place[s]).astype(np.int32)
+        rows.flags.writeable = gather.flags.writeable = False
+        blocks.append((rows, gather))
+    _check_cover([gather for _, gather in blocks], starts[-1])
     return tuple(blocks)
+
+
+def _check_cover(gathers: list, count: int) -> None:
+    """Raise :class:`QuasifreeError` unless the gather tables, together, hold
+    each of the count entries exactly once."""
+    flat = np.concatenate([g.ravel() for g in gathers])
+    if flat.size == count and flat.min() >= 0 and flat.max() < count:
+        if (np.bincount(flat, minlength=count) == 1).all():
+            return
+    raise QuasifreeError(
+        f"the particle-number charge blocks do not hold each of the {count} "
+        "Kraus entries exactly once"
+    )
+
+
+def _choi_blocks(channel: QuasiFreeChannel) -> list:
+    """The blocks of the dense Choi matrix, one pair (rows, C_m) per charge
+    m = -d..d: C[np.ix_(rows, rows)] = C_m, and C is zero off these blocks.
+
+    C = M M* for M[(i, a), (L, c)] = K[a, L, i, c], and M is zero off its
+    particle-number charge blocks, so C is the direct sum of the block
+    products: sum_m C(2d, d+m)^3 multiply-adds (3.8e7 at d = 5) in place of
+    the 4^(3d) of the full product (1.07e9).  Each block M_m is gathered
+    straight from the Kraus entries, so K itself is never formed.
+    """
+    d = channel.dim
+    _check_dense_dim(d)
+    # C[(i,a),(j,b)] = [channel*(e_ij)]_ab = sum_{L,c} K[a,L,i,c] conj K[b,L,j,c]
+    entries, twisted = _kraus_entries(channel)
+    blocks = []
+    for rows, gather in _charge_blocks(d, twisted):
+        block = entries[gather]
+        blocks.append((rows, block @ block.conj().T))
+    return blocks
+
+
+def _direct_sum(blocks: list, size: int) -> np.ndarray:
+    """The dense (size, size) matrix with the blocks (rows, C_m) of
+    :func:`_choi_blocks` on their rows and columns and zeros elsewhere."""
+    C = np.zeros((size, size), dtype=complex)
+    for rows, block in blocks:
+        C[np.ix_(rows, rows)] = block
+    return C
 
 
 def dense_choi(channel: QuasiFreeChannel) -> np.ndarray:
     """Choi matrix sum_ij e_ij (x) channel*(e_ij) over the Fock matrix units,
     with the Heisenberg action realized by the Stinespring oracle.  Its
-    partial trace over the first factor is the identity.
-
-    C = M M* for M[(i, a), (L, c)] = K[a, L, i, c], and M is zero off its
-    particle-number charge blocks, so C is the direct sum of the block
-    products: sum_m C(2d, d+m)^3 multiply-adds (3.8e7 at d = 5) in place of
-    the 4^(3d) of the full product (1.07e9).  One exact count proves the
-    grading: the nonzero components of K must all lie in the blocks, or
-    :class:`QuasifreeError` is raised rather than an entry dropped.
-    """
-    d = channel.dim
-    _check_dense_dim(d)
-    n = fock_basis(d).size
-    _, _, twisted = _as_lambda(channel)
-    # C[(i,a),(j,b)] = [channel*(e_ij)]_ab = sum_{L,c} K[a,L,i,c] conj K[b,L,j,c]
-    K = _kraus_factor(channel).reshape(-1)
-    C = np.zeros((n * n, n * n), dtype=complex)
-    kept = 0
-    for rows, k_rows, k_cols in _charge_blocks(d, twisted):
-        block = K[k_rows[:, None] + k_cols]
-        kept += np.count_nonzero(block.view(float))
-        C[np.ix_(rows, rows)] = block @ block.conj().T
-    leaked = np.count_nonzero(K.view(float)) - kept
-    if leaked:
-        raise QuasifreeError(
-            f"the Kraus factor has {leaked} nonzero components off its "
-            "particle-number charge blocks"
-        )
-    return C
+    partial trace over the first factor is the identity.  Assembled from the
+    charge blocks of :func:`_choi_blocks`."""
+    return _direct_sum(_choi_blocks(channel), 4**channel.dim)
 
 
 def dense_jamiolkowski(channel: QuasiFreeChannel) -> np.ndarray:

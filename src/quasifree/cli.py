@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .channels import QuasiFreeChannel, apply_schrodinger, new_channel
 from .checks import run_oracle_checks
 from .choi import choi_exponential_form, jamiolkowski_symbol
-from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
+from .entropy import _check_order, relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import QuasifreeError
 from .fock import exp_spectrum
 from .symbols import Symbol, validate_symbol
@@ -74,6 +76,9 @@ def _numeric_pairs(data: list):
     """
     if set(map(type, data)) != {list}:
         return None
+    # a string entry would make np.asarray spell out every number as text
+    if not set(map(type, chain.from_iterable(data))) <= {int, float, bool}:
+        return None
     try:
         raw = np.asarray(data)
     except (ValueError, TypeError, OverflowError):  # ragged or nested entries
@@ -97,7 +102,7 @@ def _parse_entries(data: list) -> np.ndarray:
             re, im = float(re), float(im)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"entry {idx} is not a pair of numbers: {exc}") from exc
-        if not (np.isfinite(re) and np.isfinite(im)):
+        if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"entry {idx} is not finite")
         out[idx] = complex(re, im)
     return out
@@ -147,6 +152,8 @@ def _load_symbol(path: str) -> Symbol:
 
 
 def cmd_entropy(args) -> int:
+    if args.p is not None:
+        _check_order(args.p)  # a bad --p is refused before the document is read
     sym = _load_symbol(args.matrix)
     value = von_neumann_entropy(sym) if args.p is None else renyi_entropy(sym, args.p)
     print(f"{value:.12g}")

@@ -18,12 +18,18 @@ KERNEL_TOL = 1e-10
 KERNEL_INCLUSION_TOL = 1e-8
 
 
+def _check_order(p: float) -> None:
+    """Raise :class:`InvalidOrder` unless p is a Renyi order: positive, finite
+    and different from 1."""
+    if not 0.0 < p < np.inf or p == 1.0:
+        raise InvalidOrder(f"Renyi order must be in (0,1) or (1,inf), got {p}")
+
+
 def renyi_entropy(Q: Symbol, p: float) -> float:
     """Renyi entropy of order p: sum of log((1-q)^p + q^p) / (1-p) over the
     symbol eigenvalues.  p must be positive, finite and different from 1;
     use :func:`von_neumann_entropy` for the p -> 1 limit."""
-    if not 0.0 < p < np.inf or p == 1.0:
-        raise InvalidOrder(f"Renyi order must be in (0,1) or (1,inf), got {p}")
+    _check_order(p)
     # eigvalsh puts an exact 0 or 1 within about d u of it; at p < 1 that dust
     # would enter as dust^p, so it is snapped to the exact value first
     snap = Q.dim * np.finfo(float).eps

@@ -29,12 +29,20 @@ from quasifree import (
     stinespring_schrodinger,
     validate_symbol,
 )
-from quasifree.channels import cp_bound
+from quasifree.channels import _as_lambda, cp_bound
 import quasifree.checks
 import quasifree.choi
 from quasifree.checks import run_oracle_checks
 from quasifree.choi import _environment_symbol as environment_spectrum
-from quasifree.choi import _kraus_factor, _stinespring_roots
+from quasifree.choi import (
+    _charge_blocks,
+    _check_cover,
+    _kraus_entries,
+    _kraus_factor,
+    _kraus_tables,
+    _stinespring_roots,
+)
+from quasifree.fock import _particle_hole_signs, _split_permutation, _subset_weights
 from quasifree.sampling import random_channel, random_symbol, random_unitary
 
 KINDS = ("lambda", "gamma")
@@ -208,18 +216,30 @@ def test_dense_choi_is_the_full_product_by_charge_blocks(rng, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_dense_choi_refuses_an_off_charge_kraus_entry(rng, kind, monkeypatch):
+def test_dense_choi_never_builds_the_kraus_factor(rng, kind, monkeypatch):
+    c = random_channel(3, rng, kind)
+    expected = dense_choi(c)
+
+    def refuse(channel):
+        raise AssertionError("dense_choi built the dense Kraus factor")
+
+    monkeypatch.setattr(quasifree.choi, "_kraus_factor", refuse)
+    assert np.array_equal(dense_choi(c), expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_charge_block_cover_refuses_a_table_that_misses_an_entry(kind):
     d = 2
-    c = random_channel(d, rng, kind)
-    K = _kraus_factor(c)
-    # K[a=0, L=0, i, c=0] has charge N(0) - |i| against 0: N(0) = 0 for
-    # lambda, so i = full is off charge; N(0) = d for gamma, so i = vacuum is
-    i = 2**d - 1 if kind == "lambda" else 0
-    assert row_charges(d, kind)[i * 2**d] != 0 and K[0, 0, i, 0] == 0.0
-    K[0, 0, i, 0] = 1e-3
-    monkeypatch.setattr(quasifree.choi, "_kraus_factor", lambda channel: K)
-    with pytest.raises(QuasifreeError, match="charge blocks"):
-        dense_choi(c)
+    twisted = kind == "gamma"
+    count = _kraus_tables(d, twisted)[0][-1]
+    gathers = [gather.copy() for _, gather in _charge_blocks(d, twisted)]
+    _check_cover(gathers, count)  # the built tables hold every entry once
+    central = gathers[d]  # charge 0, C(2d, d) rows and columns
+    central[0, 0] = central[0, 1]  # entry central[0, 0] is missed, central[0, 1] read twice
+    with pytest.raises(QuasifreeError, match="exactly once"):
+        _check_cover(gathers, count)
+    with pytest.raises(QuasifreeError, match="exactly once"):
+        _check_cover(gathers[1:], count)  # the charge -d block left out
 
 
 def test_dense_choi_dimension_cap():
@@ -371,6 +391,35 @@ def test_environment_spectrum_matches_validated_reference(rng):
             assert np.all(np.diff(env.eigenvalues) <= 0.0)
 
 
+def kraus_factor_reference(c):
+    """K as the dense construction builds it: E(V') on 2d modes scattered by
+    the split permutation, index L scaled by sqrt(p_L), and for gamma the
+    signed reversal of index a."""
+    d, n = c.dim, 2**c.dim
+    A, B, twisted = _as_lambda(c)
+    root_left, root_right, pinv_right = _stinespring_roots(A)
+    env = environment_spectrum(root_right, pinv_right, B)
+    Wh = env.eigenvectors.conj().T
+    V = np.block([[A, root_left], [-Wh @ root_right, Wh @ A.conj().T]])
+    t = _split_permutation(d, d)
+    K = np.empty((n, n, n, n), dtype=complex)
+    K.reshape(n * n, n * n)[np.ix_(t, t)] = exp_element(V)
+    K *= np.sqrt(_subset_weights(env.eigenvalues))[:, None, None]
+    if twisted:
+        K = K[::-1] * _particle_hole_signs(d)[::-1, None, None, None]
+    return K
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kraus_factor_matches_the_dense_construction(rng, kind):
+    for d in (1, 2, 3, 4):
+        c = random_channel(d, rng, kind)
+        K, ref = _kraus_factor(c), kraus_factor_reference(c)
+        assert np.array_equal(K, ref)  # the reference's zeros may be -0.0
+        nonzero = ref != 0
+        assert np.array_equal(K[nonzero].view(np.uint64), ref[nonzero].view(np.uint64))
+
+
 def test_kraus_factor_pays_one_svd_and_one_eigh(rng, monkeypatch):
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in calls:
@@ -451,10 +500,9 @@ def test_oracle_checks_build_one_kraus_factor_per_trial(monkeypatch):
 
     def counted(channel):
         builds.append(channel)
-        return _kraus_factor(channel)
+        return _kraus_entries(channel)
 
-    for module in (quasifree.choi, quasifree.checks):
-        monkeypatch.setattr(module, "_kraus_factor", counted, raising=False)
+    monkeypatch.setattr(quasifree.choi, "_kraus_entries", counted)
     for name, dim in (("density_matrix", lambda Q: Q.dim), ("exp_element", len)):
         original = getattr(quasifree.checks, name)
 
@@ -469,12 +517,12 @@ def test_oracle_checks_build_one_kraus_factor_per_trial(monkeypatch):
     assert max(dense_dims) == 4  # nothing densified on the 2d modes of a Choi form
 
 
-def test_oracle_checks_reach_channels_at_five_and_choi_at_four():
+def test_oracle_checks_reach_channels_and_choi_at_five():
     channel = {"channel-covariance", "channel-duality", "channel-composition",
                "heisenberg-state-vs-dense"}
     choi = {"jamiolkowski-spectrum", "choi-partial-trace", "choi-spectrum"}
-    for d, expected in ((5, channel), (4, channel | choi)):
+    for d in (4, 5):
         results = {r.name: r for r in run_oracle_checks(d, 2, seed=11)}
-        assert expected <= set(results)
+        assert channel | choi <= set(results)
         assert all(r.passed for r in results.values()), [r for r in results.values() if not r.passed]
-    assert not choi & {r.name for r in run_oracle_checks(5, 1, seed=11)}
+    assert not (channel | choi) & {r.name for r in run_oracle_checks(6, 1, seed=11)}

@@ -149,6 +149,16 @@ def test_entropy_error_codes(tmp_path, capsys):
     assert "Renyi order" in capsys.readouterr().err
 
 
+def test_entropy_refuses_a_bad_order_before_reading_the_document(tmp_path, capsys):
+    # as evolve --steps: the flag is judged first, so a bad file with a bad
+    # --p exits 4 (invalid flag), not 2 (parse error)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (bad, tmp_path / "missing.json"):
+        assert main(["entropy", str(path), "--p", "1"]) == 4
+    assert capsys.readouterr().err.count("Renyi order") == 2
+
+
 def test_error_types_carry_documented_exit_codes():
     # the README's exit-code table; 0 is success and 1 a failed invariant
     documented = {NotCompletelyPositive: 5, InvalidOrder: 4, DimensionCap: 4}
