@@ -12,18 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply_heisenberg_exp, apply_heisenberg_state, apply_schrodinger, compose
-from .choi import (
-    _choi_blocks,
-    _contract,
-    _direct_sum,
-    _dual_factor,
-    _kraus_factor,
-    choi_exponential_form,
-    jamiolkowski_symbol,
-)
+from .choi import _choi_action, _choi_blocks, choi_exponential_form, jamiolkowski_symbol
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import NotQuasiFreeMixture
-from .fock import _subset_weights, density_matrix, exp_element, exp_spectrum, partial_trace
+from .fock import _subset_weights, density_matrix, exp_element, exp_spectrum
 from .sampling import random_channel, random_symbol
 from .symbols import mix_symbols, validate_symbol
 
@@ -59,15 +51,15 @@ def dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
 
 
 def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
-    """The full symbol-versus-oracle suite at dimension d; channel and Choi
-    checks run for d <= 5 (the Stinespring contractions cost O(32^d), the
-    dense Choi matrix and its spectrum sum_m C(2d, d+m)^3 over its charge
-    blocks).  A channel trial builds one Kraus factor, a Choi trial the charge
-    blocks C_m of one Choi matrix C = (+)_m C_m and their spectra, whose
-    union is C's and, scaled by 2^-d, J's; the dense C is assembled only for
-    its partial trace.  Their symbol sides use the identities
-    density-eigenvalues and exp-spectrum certify, and the dense sides stay
-    the Stinespring oracle."""
+    """The full symbol-versus-oracle suite at dimension d, every check at
+    every d the dense oracle accepts.  Each channel or Choi trial builds the
+    charge blocks C_m of one Choi matrix C = (+)_m C_m, at sum_m
+    C(2d, d+m)^3 multiply-adds, and the dense C is never assembled.  A
+    channel trial reads both dense actions off the blocks; a Choi trial takes
+    their spectra, whose union is C's and, scaled by 2^-d, J's, and its
+    partial trace, the Heisenberg image of the identity.  Their symbol sides
+    use the identities density-eigenvalues and exp-spectrum certify, and the
+    dense sides stay the Stinespring oracle."""
     rng = np.random.default_rng(seed)
     results = []
     kinds = ("lambda", "gamma")
@@ -135,55 +127,52 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
         dev_mix = max(dev_mix, float(np.abs(density_matrix(mix) - dense).max()))
     results.append(CheckResult("mixture-rank1-affine", dev_mix, 1e-9))
 
-    if d <= 5:
-        dev_cov = dev_dual = dev_comp = dev_heis = 0.0
-        for t in range(trials):
-            c = random_channel(d, rng, kinds[t % 2])
-            Q = random_symbol(d, rng, 0.05, 0.95)
-            rho = density_matrix(Q)
-            out = apply_schrodinger(c, Q)
-            rho_out = density_matrix(out)
-            K = _kraus_factor(c)
-            dev_cov = max(dev_cov, float(np.abs(_contract(_dual_factor(K), rho) - rho_out).max()))
-            X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            se = apply_heisenberg_exp(c, X)
-            lhs = complex(np.trace(rho_out @ exp_element(X)))
-            rhs = se.scale * complex(np.trace(rho @ exp_element(se.argument)))
-            dev_dual = max(dev_dual, abs(lhs - rhs))
-            c2 = random_channel(d, rng, kinds[(t + 1) % 2])
-            two = apply_schrodinger(c2, out).matrix
-            one = apply_schrodinger(compose(c2, c), Q).matrix
-            dev_comp = max(dev_comp, float(np.abs(two - one).max()))
-            ss = apply_heisenberg_state(c, Q)
-            dense_heis = _contract(K, rho)
-            dev_heis = max(
-                dev_heis,
-                float(np.abs(ss.scale * exp_element(ss.argument) - dense_heis).max()),
-            )
-        results.append(CheckResult("channel-covariance", dev_cov, 1e-8))
-        results.append(CheckResult("channel-duality", dev_dual, 1e-9))
-        results.append(CheckResult("channel-composition", dev_comp, 1e-10))
-        results.append(CheckResult("heisenberg-state-vs-dense", dev_heis, 1e-8))
+    dev_cov = dev_dual = dev_comp = dev_heis = 0.0
+    for t in range(trials):
+        c = random_channel(d, rng, kinds[t % 2])
+        Q = random_symbol(d, rng, 0.05, 0.95)
+        rho = density_matrix(Q)
+        out = apply_schrodinger(c, Q)
+        rho_out = density_matrix(out)
+        blocks = _choi_blocks(c)
+        dense_out = _choi_action(blocks, rho, heisenberg=False)
+        dev_cov = max(dev_cov, float(np.abs(dense_out - rho_out).max()))
+        X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        se = apply_heisenberg_exp(c, X)
+        lhs = complex(np.trace(rho_out @ exp_element(X)))
+        rhs = se.scale * complex(np.trace(rho @ exp_element(se.argument)))
+        dev_dual = max(dev_dual, abs(lhs - rhs))
+        c2 = random_channel(d, rng, kinds[(t + 1) % 2])
+        two = apply_schrodinger(c2, out).matrix
+        one = apply_schrodinger(compose(c2, c), Q).matrix
+        dev_comp = max(dev_comp, float(np.abs(two - one).max()))
+        ss = apply_heisenberg_state(c, Q)
+        dense_heis = _choi_action(blocks, rho, heisenberg=True)
+        dev_heis = max(
+            dev_heis,
+            float(np.abs(ss.scale * exp_element(ss.argument) - dense_heis).max()),
+        )
+    results.append(CheckResult("channel-covariance", dev_cov, 1e-8))
+    results.append(CheckResult("channel-duality", dev_dual, 1e-9))
+    results.append(CheckResult("channel-composition", dev_comp, 1e-10))
+    results.append(CheckResult("heisenberg-state-vs-dense", dev_heis, 1e-8))
 
-        dev_jam = dev_tr1 = dev_choi = 0.0
-        n = 1 << d
-        for t in range(max(1, trials // 4)):
-            c = random_channel(d, rng, kinds[t % 2])
-            blocks = _choi_blocks(c)
-            wd = np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in blocks]))
-            C = _direct_sum(blocks, n * n)
-            # J = S C^T S / 2^d for the factor swap S, so C / 2^d has J's spectrum
-            sym = np.sort(_subset_weights(jamiolkowski_symbol(c).symbol.eigenvalues))
-            dev_jam = max(dev_jam, float(np.abs(wd / n - sym).max()))
-            dev_tr1 = max(
-                dev_tr1,
-                float(np.abs(partial_trace(C, (n, n), keep=1) - np.eye(n)).max()),
-            )
-            cf = choi_exponential_form(c)
-            wf = np.sort((cf.scale * exp_spectrum(cf.argument)).real)
-            dev_choi = max(dev_choi, float(np.abs(wd - wf).max()))
-        results.append(CheckResult("jamiolkowski-spectrum", dev_jam, 1e-8))
-        results.append(CheckResult("choi-partial-trace", dev_tr1, 1e-9))
-        results.append(CheckResult("choi-spectrum", dev_choi, 1e-8))
+    dev_jam = dev_tr1 = dev_choi = 0.0
+    n = 1 << d
+    for t in range(max(1, trials // 4)):
+        c = random_channel(d, rng, kinds[t % 2])
+        blocks = _choi_blocks(c)
+        wd = np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in blocks]))
+        # J = S C^T S / 2^d for the factor swap S, so C / 2^d has J's spectrum
+        sym = np.sort(_subset_weights(jamiolkowski_symbol(c).symbol.eigenvalues))
+        dev_jam = max(dev_jam, float(np.abs(wd / n - sym).max()))
+        tr1 = _choi_action(blocks, np.eye(n), heisenberg=True)  # sum_i C[(i,a),(i,b)]
+        dev_tr1 = max(dev_tr1, float(np.abs(tr1 - np.eye(n)).max()))
+        cf = choi_exponential_form(c)
+        wf = np.sort((cf.scale * exp_spectrum(cf.argument)).real)
+        dev_choi = max(dev_choi, float(np.abs(wd - wf).max()))
+    results.append(CheckResult("jamiolkowski-spectrum", dev_jam, 1e-8))
+    results.append(CheckResult("choi-partial-trace", dev_tr1, 1e-9))
+    results.append(CheckResult("choi-spectrum", dev_choi, 1e-8))
 
     return results

@@ -7,33 +7,32 @@ the block unitary
 
     V = [[A, sqrt(1 - A A*)], [-sqrt(1 - A* A), A*]],
 
-and contract the second half against the quasi-free environment state whose
+and trace the second half out in the quasi-free environment state whose
 symbol reproduces B through B = sqrt(1 - A*A) Q' sqrt(1 - A*A).  The rotation
 direction (conjugate by E(V), not E(V)*) is the one under which the trace
 duality with the Schrodinger action holds; it is frozen here and enforced by
 the test suite.  Both square roots come from one SVD of A, since 1 - AA*
 and 1 - A*A share the spectrum 1 - s^2, and the environment symbol's
 eigenvectors W from :func:`spectral`.  The environment state
-E(W) diag(p) E(W)* is never formed:
-E is multiplicative, so :func:`_kraus_entries` folds E(W)* into the rotation
-once and both actions are one contraction :func:`_contract`: of the Kraus
-factor K for channel*(x) = sum K x K*, of its trace dual for the
-Schrodinger action.
+E(W) diag(p) E(W)* is never formed: E is multiplicative, so
+:func:`_kraus_entries` folds E(W)* into the rotation once, and its entries
+K[a, L, i, c] are the Kraus operators, channel*(x) = sum K x K*.
 Gamma-kind channels route through the lambda channel with conjugated A
 composed with the particle-hole automorphism, a signed reversal of the Fock
-basis that the factor applies as an index, independently of the symbol-side
+basis that the entries apply as an index, independently of the symbol-side
 twist it checks.
 
-The factor conserves particle number: K[a, L, i, c] is read off E(V') on 2d
-modes, so it vanishes unless |a| + |L| = |i| + |c| (d - |a| in place of |a|
-for the gamma kind, whose reversal sends a to its complement).  Its
-C(4d, 2d) entries that can be nonzero (17.6 % of the 16^d at d = 5) are
-computed alone, as the sector blocks of E(V'), and placed by index tables
-cached per (d, kind): :func:`_kraus_factor` scatters them into a dense K
-for the contractions, and :func:`dense_choi` gathers from them the 2d + 1
-charge blocks of which the dense Choi matrix is the direct sum, never
-forming K.  That the blocks hold every entry exactly once is proved once,
-when their tables are built.
+The rotation conserves particle number, so K[a, L, i, c] vanishes unless
+|a| + |L| = |i| + |c| (d - |a| in place of |a| for the gamma kind, whose
+reversal sends a to its complement).  Its C(4d, 2d) entries that can be
+nonzero (17.6 % of the 16^d at d = 5) are computed alone, as the sector
+blocks of E(V'), and :func:`_choi_blocks` gathers from them, by index tables
+cached per (d, kind), the 2d + 1 charge blocks of which the Choi matrix C is
+the direct sum.  That the blocks hold every entry exactly once is proved
+once, when their tables are built.  The blocks are the oracle's one
+representation of the channel: :func:`dense_choi` places them in C, and
+:func:`_choi_action` reads both dense actions off them,
+channel*(x)[a, b] = sum_ij x[i, j] C[(i,a),(j,b)] and its trace dual.
 """
 
 from __future__ import annotations
@@ -190,59 +189,40 @@ def _environment_symbol(
 
 @lru_cache(maxsize=None)
 def _kraus_tables(d: int, twisted: bool) -> tuple:
-    """Layout of the entries of K[a, L, i, c] that can be nonzero, as the
-    tuple (starts, env, signs, krow).
+    """Layout of the Kraus entries K[a, L, i, c] that can be nonzero, as the
+    tuple (starts, env, signs).
 
     The entries are the sector blocks of E(V') on 2d modes, each row-major,
     in sector order: sector k fills entries starts[k]:starts[k+1].  Row state
     r of the 2d modes splits into (a, L), column state s into (i, c), by
     :func:`_split_permutation`; env[r] = L indexes the weight sqrt(p_L) of
-    row r, signs[r] is the particle-hole sign of a when twisted (None
-    otherwise), and krow[r] = a n + L, a reversed to n - 1 - a when twisted.
+    row r, and signs[r] is the particle-hole sign of a when twisted (None
+    otherwise).  Where each entry sits in the Choi blocks is
+    :func:`_charge_blocks`' table.
     """
     n = 1 << d
     a, env = np.divmod(_split_permutation(d, d), n)
-    signs = None
-    if twisted:
-        signs = _particle_hole_signs(d)[a]
-        a = n - 1 - a
-    krow = a * n + env
+    signs = _particle_hole_signs(d)[a] if twisted else None
     starts = np.cumsum([0] + [comb(2 * d, k) ** 2 for k in range(2 * d + 1)])
-    for table in (starts, env, signs, krow):
+    for table in (starts, env, signs):
         if table is not None:
             table.flags.writeable = False
-    return starts, env, signs, krow
-
-
-@lru_cache(maxsize=None)
-def _kraus_offsets(d: int, twisted: bool) -> np.ndarray:
-    """The flat offset krow[r] n^2 + t[s] in K of each entry (r, s) of
-    :func:`_kraus_tables`, t the split permutation; only the dense K reads
-    them, so :func:`dense_choi` never builds them."""
-    n = 1 << d
-    starts, _, _, krow = _kraus_tables(d, twisted)
-    t = _split_permutation(d, d)
-    basis = fock_basis(2 * d)
-    offsets = np.empty(starts[-1], dtype=np.int32)
-    for k in range(2 * d + 1):
-        sl = basis.sector(k)
-        offsets[starts[k] : starts[k + 1]] = (krow[sl, None] * (n * n) + t[sl]).ravel()
-    offsets.flags.writeable = False
-    return offsets
+    return starts, env, signs
 
 
 def _kraus_entries(channel: QuasiFreeChannel) -> tuple[np.ndarray, bool]:
-    """The entries of the Kraus factor K[a, L, i, c] that can be nonzero, laid
-    out as :func:`_kraus_tables` says, and whether the channel is twisted.
+    """The Kraus entries K[a, L, i, c] that can be nonzero, with
+    channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*, laid out as
+    :func:`_kraus_tables` says, and whether the channel is twisted.
 
     The environment state is E(W) diag(p) E(W)*, W the eigenvectors of its
     symbol and p their subset weights; 1 (x) E(W)* = U E(1 + W*) U* under the
-    split isomorphism U, so K is the rotation by
+    split isomorphism U, so the entries are those of the rotation by
     V' = [[A, sqrt(1-AA*)], [-W* sqrt(1-A*A), W* A*]] with index L scaled by
-    sqrt(p_L).  gamma(A, B) is lambda(conj A, B) after rho -> P* rho P, so its
-    factor is (P (x) 1) K, P the particle-hole unitary: a signed reversal of
-    a.  E(V') conserves particle number, so its sector blocks, rows scaled,
-    are all the entries.
+    sqrt(p_L).  gamma(A, B) is lambda(conj A, B) after rho -> P* rho P, P the
+    particle-hole unitary, so its entries are signed by P and their index a
+    is reversed, which :func:`_charge_blocks` reads.  E(V') conserves
+    particle number, so its sector blocks, rows scaled, are all the entries.
     """
     d = channel.dim
     A, B, twisted = _as_lambda(channel)
@@ -250,7 +230,7 @@ def _kraus_entries(channel: QuasiFreeChannel) -> tuple[np.ndarray, bool]:
     env = _environment_symbol(root_right, pinv_right, B)
     Wh = env.eigenvectors.conj().T
     V = np.block([[A, root_left], [-Wh @ root_right, Wh @ A.conj().T]])
-    starts, env_of_row, signs, _ = _kraus_tables(d, twisted)
+    starts, env_of_row, signs = _kraus_tables(d, twisted)
     scale = np.sqrt(_subset_weights(env.eigenvalues))[env_of_row]
     if twisted:
         scale *= signs
@@ -260,31 +240,6 @@ def _kraus_entries(channel: QuasiFreeChannel) -> tuple[np.ndarray, bool]:
         out = entries[starts[k] : starts[k + 1]].reshape(block.shape)
         np.multiply(block, scale[basis.sector(k), None], out=out)
     return entries, twisted
-
-
-def _kraus_factor(channel: QuasiFreeChannel) -> np.ndarray:
-    """K[a, L, i, c] with channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*:
-    the entries of :func:`_kraus_entries` scattered into zeros."""
-    entries, twisted = _kraus_entries(channel)
-    n = 1 << channel.dim
-    K = np.zeros(n**4, dtype=complex)
-    K[_kraus_offsets(channel.dim, twisted)] = entries
-    return K.reshape(n, n, n, n)
-
-
-def _contract(K: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*, for any factor K[a, L, i, c]."""
-    n = K.shape[0]
-    # out[a,b] = sum K[a,L,i,c] x[i,j] conj K[b,L,j,c]: two O(n^5) gemms
-    Y = x.T @ K  # [a,L,j,c]
-    np.conjugate(Y, out=Y)
-    return (Y.reshape(n, -1) @ K.reshape(n, -1).T).conj()
-
-
-def _dual_factor(K: np.ndarray) -> np.ndarray:
-    """K'[i, L, a, c] = conj K[a, L, i, c]: contracting K' is the trace dual
-    of contracting K.  Laid out C-contiguous, so both gemms take it as is."""
-    return np.conjugate(K.transpose(2, 1, 0, 3), order="C")
 
 
 def _fock_operand(channel: QuasiFreeChannel, x, name: str, what: str) -> np.ndarray:
@@ -299,14 +254,14 @@ def _fock_operand(channel: QuasiFreeChannel, x, name: str, what: str) -> np.ndar
 def stinespring_heisenberg(channel: QuasiFreeChannel, x: np.ndarray) -> np.ndarray:
     """Dense Heisenberg action of the channel on a Fock operator x."""
     x = _fock_operand(channel, x, "x", "operator")
-    return _contract(_kraus_factor(channel), x)
+    return _choi_action(_choi_blocks(channel), x, heisenberg=True)
 
 
 def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.ndarray:
     """Dense Schrodinger action (the trace dual of
     :func:`stinespring_heisenberg`) on a density matrix."""
     rho = _fock_operand(channel, rho, "rho", "state")
-    return _contract(_dual_factor(_kraus_factor(channel)), rho)
+    return _choi_action(_choi_blocks(channel), rho, heisenberg=False)
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +327,7 @@ def _choi_blocks(channel: QuasiFreeChannel) -> list:
     particle-number charge blocks, so C is the direct sum of the block
     products: sum_m C(2d, d+m)^3 multiply-adds (3.8e7 at d = 5) in place of
     the 4^(3d) of the full product (1.07e9).  Each block M_m is gathered
-    straight from the Kraus entries, so K itself is never formed.
+    straight from the Kraus entries.
     """
     d = channel.dim
     _check_dense_dim(d)
@@ -383,6 +338,29 @@ def _choi_blocks(channel: QuasiFreeChannel) -> list:
         block = entries[gather]
         blocks.append((rows, block @ block.conj().T))
     return blocks
+
+
+def _choi_action(blocks: list, x: np.ndarray, heisenberg: bool) -> np.ndarray:
+    """The dense action on the n x n operator x read off the blocks (rows, C_m)
+    of :func:`_choi_blocks`: channel*(x)[a, b] = sum_ij x[i, j] C[(i,a),(j,b)]
+    when heisenberg, else channel(x)[j, i] = sum_ab x[b, a] C[(i,a),(j,b)].
+
+    Per block, one gather of x, one product with C_m and a scatter-add of
+    the terms (real and imaginary parts by one bincount each), so nothing
+    larger than a block is formed."""
+    n = x.shape[0]
+    real = np.zeros(n * n)
+    imag = np.zeros(n * n)
+    for rows, block in blocks:
+        i, a = np.divmod(rows, n)  # block row p is (i[p], a[p]), column q is (i[q], a[q])
+        if heisenberg:  # x[i_p, i_q] C_m[p, q] adds to out[a_p, a_q]
+            terms, at = x[i[:, None], i] * block, a[:, None] * n + a
+        else:  # x[a_q, a_p] C_m[p, q] adds to out[i_q, i_p]
+            terms, at = x[a, a[:, None]] * block, i[:, None] + i * n
+        at = at.ravel()
+        real += np.bincount(at, terms.real.ravel(), n * n)
+        imag += np.bincount(at, terms.imag.ravel(), n * n)
+    return (real + 1j * imag).reshape(n, n)
 
 
 def _direct_sum(blocks: list, size: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import QuasiFreeChannel, apply_schrodinger, new_channel
 from .checks import run_oracle_checks
-from .choi import choi_exponential_form, jamiolkowski_symbol
+from .choi import DENSE_CHOI_CAP, choi_exponential_form, jamiolkowski_symbol
 from .entropy import _check_order, relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import QuasifreeError
 from .fock import exp_spectrum
@@ -215,11 +215,14 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if not 1 <= args.d <= 6:
-        print(f"oracle-check requires 1 <= d <= 6, got {args.d}", file=sys.stderr)
+    if not 1 <= args.d <= DENSE_CHOI_CAP:
+        print(f"oracle-check requires 1 <= d <= {DENSE_CHOI_CAP}, got {args.d}", file=sys.stderr)
         return EXIT_BAD_FLAG
     if args.trials < 1:
         print(f"--trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return EXIT_BAD_FLAG
+    if args.seed < 0:
+        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_BAD_FLAG
     results = run_oracle_checks(args.d, args.trials, args.seed)
     print(f"oracle-check d={args.d} trials={args.trials} seed={args.seed}")
@@ -272,6 +275,9 @@ def cmd_bench(args) -> int:
         return EXIT_BAD_FLAG
     if not dims or any(v < 1 for v in dims):
         print("--dims entries must be positive", file=sys.stderr)
+        return EXIT_BAD_FLAG
+    if args.seed < 0:
+        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
         return EXIT_BAD_FLAG
     if any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS):
         return _bench_pinned(dims, args.seed)

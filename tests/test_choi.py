@@ -38,7 +38,6 @@ from quasifree.choi import (
     _charge_blocks,
     _check_cover,
     _kraus_entries,
-    _kraus_factor,
     _kraus_tables,
     _stinespring_roots,
 )
@@ -208,23 +207,11 @@ def test_dense_choi_is_the_full_product_by_charge_blocks(rng, kind):
         n = 2**d
         c = random_channel(d, rng, kind)
         C = dense_choi(c)
-        M = _kraus_factor(c).transpose(2, 0, 1, 3).reshape(n * n, n * n)
+        M = kraus_factor_reference(c).transpose(2, 0, 1, 3).reshape(n * n, n * n)
         full = M @ M.conj().T
         assert np.abs(C - full).max() < 1e-13 * max(1.0, np.abs(full).max())
         charge = row_charges(d, kind)
         assert not C[charge[:, None] != charge[None, :]].any()
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_dense_choi_never_builds_the_kraus_factor(rng, kind, monkeypatch):
-    c = random_channel(3, rng, kind)
-    expected = dense_choi(c)
-
-    def refuse(channel):
-        raise AssertionError("dense_choi built the dense Kraus factor")
-
-    monkeypatch.setattr(quasifree.choi, "_kraus_factor", refuse)
-    assert np.array_equal(dense_choi(c), expected)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -410,11 +397,31 @@ def kraus_factor_reference(c):
     return K
 
 
+def kraus_offsets_reference(d, twisted):
+    """The flat offset in K[a, L, i, c] of each Kraus entry, in the layout of
+    _kraus_tables: entry (r, s) of sector k of E(V') sits at row a n + L
+    (a reversed to n - 1 - a when twisted) and column i n + c, where the split
+    permutation t sends the 2d-mode states r and s to (a, L) and (i, c)."""
+    n = 2**d
+    t = _split_permutation(d, d)
+    a, env = np.divmod(t, n)
+    if twisted:
+        a = n - 1 - a
+    krow = a * n + env
+    basis = fock_basis(2 * d)
+    sectors = [basis.sector(k) for k in range(2 * d + 1)]
+    return np.concatenate([(krow[sl, None] * (n * n) + t[sl]).ravel() for sl in sectors])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_kraus_factor_matches_the_dense_construction(rng, kind):
     for d in (1, 2, 3, 4):
+        n = 2**d
         c = random_channel(d, rng, kind)
-        K, ref = _kraus_factor(c), kraus_factor_reference(c)
+        entries, twisted = _kraus_entries(c)
+        K = np.zeros(n**4, dtype=complex)
+        K[kraus_offsets_reference(d, twisted)] = entries
+        K, ref = K.reshape(n, n, n, n), kraus_factor_reference(c)
         assert np.array_equal(K, ref)  # the reference's zeros may be -0.0
         nonzero = ref != 0
         assert np.array_equal(K[nonzero].view(np.uint64), ref[nonzero].view(np.uint64))
@@ -434,7 +441,7 @@ def test_kraus_factor_pays_one_svd_and_one_eigh(rng, monkeypatch):
         c = random_channel(3, rng, kind)
         for name in calls:
             calls[name] = 0
-        _kraus_factor(c)
+        _kraus_entries(c)
         assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 1}
 
 
@@ -465,7 +472,7 @@ def test_oracle_rotation_is_split_conjugation(rng, kind):
         c = random_channel(d, rng, kind)
         G, rho_env = oracle_pieces_reference(c)
         G = G.reshape(n, n, n * n)
-        K = _kraus_factor(c).reshape(n, n, n * n)
+        K = kraus_factor_reference(c).reshape(n, n, n * n)
         lhs = np.einsum("alm,blm->abm", K, K.conj())
         rhs = np.einsum("st,atm,bsm->abm", rho_env, G, G.conj())
         assert np.abs(lhs - rhs).max() < 1e-14
@@ -473,7 +480,7 @@ def test_oracle_rotation_is_split_conjugation(rng, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_stinespring_contractions_match_kron_forms(rng, kind):
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4):
         n = 2**d
         c = random_channel(d, rng, kind)
         G, rho_env = oracle_pieces_reference(c)
@@ -517,7 +524,16 @@ def test_oracle_checks_build_one_kraus_factor_per_trial(monkeypatch):
     assert max(dense_dims) == 4  # nothing densified on the 2d modes of a Choi form
 
 
-def test_oracle_checks_reach_channels_and_choi_at_five():
+def test_oracle_checks_never_assemble_a_dense_choi_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle checks assembled a dense Choi matrix")
+
+    monkeypatch.setattr(quasifree.choi, "_direct_sum", refuse)
+    monkeypatch.setattr(quasifree.checks, "partial_trace", refuse, raising=False)
+    assert all(r.passed for r in run_oracle_checks(4, 4, seed=5))
+
+
+def test_oracle_checks_reach_channels_and_choi_at_six():
     channel = {"channel-covariance", "channel-duality", "channel-composition",
                "heisenberg-state-vs-dense"}
     choi = {"jamiolkowski-spectrum", "choi-partial-trace", "choi-spectrum"}
@@ -525,4 +541,6 @@ def test_oracle_checks_reach_channels_and_choi_at_five():
         results = {r.name: r for r in run_oracle_checks(d, 2, seed=11)}
         assert channel | choi <= set(results)
         assert all(r.passed for r in results.values()), [r for r in results.values() if not r.passed]
-    assert not (channel | choi) & {r.name for r in run_oracle_checks(6, 1, seed=11)}
+    results = run_oracle_checks(6, 1, seed=11)
+    assert len(results) == 18 and channel | choi <= {r.name for r in results}
+    assert all(r.passed for r in results), [r for r in results if not r.passed]

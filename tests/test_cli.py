@@ -309,6 +309,14 @@ def test_oracle_check_cli(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["oracle-check", "--d", "2"], ["bench", "--dims", "5"]])
+def test_negative_seed_is_a_bad_flag(argv, capsys):
+    # refused before any work, not a ValueError from numpy's generator
+    assert main([*argv, "--seed", "-1"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "--seed must be >= 0, got -1\n")
+
+
 def test_bench_smoke(capsys):
     assert main(["bench", "--dims", "1,2"]) == 0
     out = capsys.readouterr().out
