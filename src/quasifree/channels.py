@@ -66,19 +66,20 @@ class QuasiFreeChannel:
     B: np.ndarray
 
     def __post_init__(self):
-        bound = cp_bound(self.kind, self.A)  # the kind check and A's operand gate
+        _check_kind(self.kind)
         A, B = _square_pair(self.A, self.B)
         herm_dev = np.abs(B - B.conj().T).max()
         if herm_dev > CP_TOL:
             raise NotCompletelyPositive(f"B must be Hermitian; max |B - B*| = {herm_dev:.3e}")
         B = (B + B.conj().T) / 2.0
         if not _certified_psd(B, CP_TOL):
-            low = _min_eig(B)
+            low = float(np.linalg.eigvalsh(B)[0])
             if low < -CP_TOL:
                 raise NotCompletelyPositive(f"B has eigenvalue {low:.6e} < 0")
-        upper = bound - B
+        upper = _cp_bound(self.kind, A) - B
+        upper = (upper + upper.conj().T) / 2.0  # _certified_psd takes it exactly Hermitian
         if not _certified_psd(upper, CP_TOL):
-            high = _min_eig(upper)
+            high = float(np.linalg.eigvalsh(upper)[0])
             if high < -CP_TOL:
                 raise NotCompletelyPositive(
                     f"upper CP constraint violated by eigenvalue {high:.6e}"
@@ -120,10 +121,6 @@ def _square_pair(A, B):
     return A, B
 
 
-def _min_eig(H: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((H + H.conj().T) / 2.0)[0])
-
-
 def _lambda_A(kind: str, A: np.ndarray):
     """(At, twisted) with the channel (kind, A, B) = lambda(At, B) . theta^twisted."""
     twisted = kind == KIND_GAMMA
@@ -142,13 +139,21 @@ def _twist_past(At: np.ndarray, B: np.ndarray):
     return Ac, np.eye(At.shape[0]) - B.T - At.T @ Ac
 
 
-def cp_bound(kind: str, A) -> np.ndarray:
-    """Upper bound 1 - At*At on B in the CP constraint of the given kind: the
-    constructor's first step, so kind and A are read as it reads them."""
+def _check_kind(kind: str) -> None:
     if kind not in (KIND_LAMBDA, KIND_GAMMA):
         raise InvalidArgument(f"kind must be '{KIND_LAMBDA}' or '{KIND_GAMMA}', got {kind!r}")
-    At, _ = _lambda_A(kind, _operand(A, "A", nonempty=True))
+
+
+def _cp_bound(kind: str, A: np.ndarray) -> np.ndarray:
+    At, _ = _lambda_A(kind, A)
     return np.eye(At.shape[0]) - At.conj().T @ At
+
+
+def cp_bound(kind: str, A) -> np.ndarray:
+    """Upper bound 1 - At*At on B in the CP constraint of the given kind;
+    kind and A are read as the constructor reads them."""
+    _check_kind(kind)
+    return _cp_bound(kind, _operand(A, "A", nonempty=True))
 
 
 def new_channel(kind: str, A, B) -> QuasiFreeChannel:

@@ -67,8 +67,10 @@ def oracle_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise DimensionCap(f"QUASIFREE_MAX_ORACLE_D must be an integer, got {raw!r}") from None
-    return max(1, min(value, HARD_ORACLE_CAP))
+        value = 0
+    if value < 1:
+        raise DimensionCap(f"QUASIFREE_MAX_ORACLE_D must be a positive integer, got {raw!r}")
+    return min(value, HARD_ORACLE_CAP)
 
 
 def _check_cap(d: int) -> None:

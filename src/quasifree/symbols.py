@@ -23,6 +23,9 @@ HERMITIAN_TOL = 1e-10
 #: singular values below this (relative to the max-entry norm) count as zero
 #: when deciding whether a symbol difference has rank <= 1
 MIX_RANK_TOL = 1e-9
+#: power steps of the Collatz-Wielandt bound in the Cholesky certificate
+CW_STEPS = 4
+_U = np.finfo(float).eps / 2.0  # unit roundoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,19 +109,19 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     ``1 + tol``.  A ``tol`` that is NaN, infinite or negative raises
     :class:`InvalidArgument`.
 
-    The range 0 <= H <= 1 of the Hermitian part H is first tried by two
-    Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H), each
-    tried only where its Frobenius form can pass (:func:`_frobenius_fits`, an
-    O(d) test on the trace).  Certified matrices are kept as given, without an
-    eigendecomposition; their eigenvalues are clipped on read.  The
-    certificates run at ``min(tol, HERMITIAN_TOL)``, not at ``tol``: dust kept
-    in the matrix then stays within what consumers with fixed tolerances
-    accept (mixtures, channel images, the relative-entropy kernel test), and
-    larger dust, even within a larger ``tol``, is clamped.  Otherwise
-    eigvalsh decides and words the error, and violations within ``tol`` are
-    treated as floating-point dust and clamped away, through
-    :func:`spectral`: the clamped matrix is V diag(clip w) V*, so that
-    decomposition is its own and stays cached.
+    The range 0 <= H <= 1 of the Hermitian part H is first tried at every d
+    by two Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H:
+    a Frobenius bound, then a Collatz-Wielandt bound, within ||L||_1 ||L||_inf
+    at step 0 up to a rounding factor 1 + O(d u)).  Certified matrices are
+    kept as given, without an eigendecomposition; their eigenvalues are
+    clipped on read.  The certificates run at ``min(tol, HERMITIAN_TOL)``,
+    not at ``tol``: dust kept in the matrix then stays within what consumers
+    with fixed tolerances accept (mixtures, channel images, the
+    relative-entropy kernel test), and larger dust, even within a larger
+    ``tol``, is clamped.  Otherwise eigvalsh decides and words the error, and
+    violations within ``tol`` are treated as floating-point dust and clamped
+    away, through :func:`spectral`: the clamped matrix is V diag(clip w) V*,
+    so that decomposition is its own and stays cached.
     """
     if not 0.0 <= tol < np.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
@@ -127,15 +130,8 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     if herm_dev > tol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     H = (M + M.conj().T) / 2.0
-    d = H.shape[0]
-    trace = float(np.trace(H).real)
     kept = min(tol, HERMITIAN_TOL)
-    if (
-        _frobenius_fits(trace, d, kept)
-        and _frobenius_fits(d - trace, d, kept)
-        and _certified_psd(H, kept)
-        and _certified_psd(np.eye(d) - H, kept)
-    ):
+    if _certified_psd(H, kept) and _certified_psd(np.eye(H.shape[0]) - H, kept):
         return Symbol(matrix=_frozen(H), _tol=np.inf)
     w = _checked_spectrum(np.linalg.eigvalsh(H), tol)
     if w[0] >= 0.0 and w[-1] <= 1.0:
@@ -146,51 +142,47 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     return Symbol(matrix=_frozen(H), _cache={"eigenvalues": s.eigenvalues, "spectral": s})
 
 
-def _backward_error_constant(n: int) -> float:
-    """c = sqrt(2) gamma_{n+3}, the componentwise backward-error constant of
-    an n x n complex Cholesky factorization (see :func:`_certified_psd`)."""
-    u = np.finfo(float).eps / 2.0
-    return np.sqrt(2.0) * (n + 3) * u / (1.0 - (n + 3) * u)
-
-
-def _frobenius_fits(trace: float, n: int, tol: float) -> bool:
-    """Whether the Frobenius form of :func:`_certified_psd`'s bound can pass
-    for an n x n Hermitian matrix of the given trace.
-
-    The Cholesky factor L of H + (tol/2) 1 has ||L||_F^2 = tr H + n tol/2, up
-    to rounding, so when c (tr H + n tol/2) <= tol/2 the certificate succeeds
-    whenever the factorization completes, and otherwise its Frobenius form
-    fails.  Deciding this before factoring means no factorization is wasted
-    where that form cannot pass (a dense interior symbol beyond d ~ 800)."""
-    return _backward_error_constant(n) * (trace + n * tol / 2.0) <= tol / 2.0
+def _spread_bounds(absL: np.ndarray):
+    """The bounds of :func:`_certified_psd` on ||absL||_2^2: ||absL||_F^2,
+    then the Collatz-Wielandt bounds, which do not increase."""
+    yield float(np.vdot(absL, absL).real)
+    grow = 1.0 + 2.0 * (2 * absL.shape[0] + 5) * _U  # >= 1 / (1 - gamma_{2n+5})
+    v = np.ones(absL.shape[0])
+    for _ in range(CW_STEPS + 1):
+        w = absL.T @ (absL @ v)
+        yield grow * float((w / v).max())
+        if not w.min() > 0.0:  # underflow: the next ratio has no meaning
+            return
+        v = w / w.max()
 
 
 def _certified_psd(H: np.ndarray, tol: float) -> bool:
-    """True only when lambda_min(H) >= -tol holds exactly; False means "not
-    certified", and the caller's eigenvalue test decides.
+    """True only when lambda_min(H) >= -tol holds exactly for the exactly
+    Hermitian H; False means "not certified", and the caller's eigenvalue
+    test decides.
 
-    A Cholesky factorization that runs to completion on
-    H' = H + (tol/2) 1 proves H' + E >= 0 for a backward error with
-    |E| <= c |L||L*|, c = sqrt(2) gamma_{n+3} in complex arithmetic (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.3 and sec. 3.6).
-    Hence ||E||_2 <= c || |L| ||_2^2 <= c min(||L||_F^2, ||L||_1 ||L||_inf),
-    and when that is at most tol/2, lambda_min(H) >= -tol/2 - ||E||_2 >= -tol.
-    For 0 <= H <= 1 the Frobenius form is at most sqrt(2) n (n+3) u, inside
-    tol/2 = 5e-11 up to d ~ 560 whatever H is; beyond that the certificate
-    holds when L is spread thinly enough (||L||_1 ||L||_inf small).
+    A Cholesky factorization H + (tol/2) 1 = LL* that runs to completion has
+    a backward error |E| <= c |L||L*|, c = sqrt(2) gamma_{n+3} (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3 and sec. 3.6),
+    so lambda_min(H) >= -tol once c || |L| ||_2^2 <= tol/2.  The first bound
+    is ||L||_F^2, enough at tol = 1e-10 up to d ~ 560 for any 0 <= H <= 1.
+    Then || |L| ||_2^2 = rho(N) for N = |L|^T |L| is at most max_i (Nv)_i /
+    v_i for every v > 0 (Collatz, Math. Z. 48, 221 (1942); Wielandt, Math.
+    Z. 52, 642 (1950)): at most ||L||_1 ||L||_inf at v = 1, and no higher
+    after each of ``CW_STEPS`` power steps v <- Nv.  Nv sums nonnegative
+    terms, so the computed maximum divided by 1 - gamma_{2n+5} covers the
+    rounding of the sums (2n), the ratio (1) and the moduli |L_ij| (4).
     """
     n = H.shape[0]
     half = tol / 2.0
+    shifted = H.copy()
+    shifted.flat[:: n + 1] += half
     try:
-        L = np.linalg.cholesky((H + H.conj().T) / 2.0 + half * np.eye(n))
+        absL = np.abs(np.linalg.cholesky(shifted))
     except np.linalg.LinAlgError:
         return False
-    absL = np.abs(L)
-    spread = min(
-        float(np.vdot(absL, absL).real),
-        float(absL.sum(axis=0).max() * absL.sum(axis=1).max()),
-    )
-    return _backward_error_constant(n) * spread <= half
+    c = np.sqrt(2.0) * (n + 3) * _U / (1.0 - (n + 3) * _U)  # sqrt(2) gamma_{n+3}
+    return any(c * bound <= half for bound in _spread_bounds(absL))
 
 
 def _trusted_symbol(H: np.ndarray, tol: float = HERMITIAN_TOL) -> Symbol:

@@ -14,6 +14,8 @@ import weakref
 import numpy as np
 import pytest
 from conftest import count_calls
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasifree import (
     AffineSymbolMap,
@@ -37,7 +39,7 @@ from quasifree import (
 from quasifree.channels import CP_TOL, PIVOT_COND_MAX, cp_bound
 from quasifree.choi import B_COND_MAX
 from quasifree.sampling import random_channel, random_symbol, random_unitary
-from quasifree.symbols import HERMITIAN_TOL, _certified_psd, _frobenius_fits
+from quasifree.symbols import CW_STEPS, HERMITIAN_TOL, _certified_psd, _spread_bounds
 
 KINDS = ("lambda", "gamma")
 CONDS = (0.5e12, 0.99e12, 1.01e12, 2e12)
@@ -227,20 +229,10 @@ def test_large_tol_clamps_dust_beyond_the_certificate(dust, rng, monkeypatch):
         validate_symbol((U * w) @ U.conj().T, tol=dust / 2.0)
 
 
-def test_frobenius_gate_refuses_where_the_certificate_cannot_pass():
-    tol = HERMITIAN_TOL
-    # a half-filled symbol (tr H = d/2, and so tr(1 - H)) passes up to d = 796
-    assert _frobenius_fits(796 / 2, 796, tol) and not _frobenius_fits(797 / 2, 797, tol)
-    assert _frobenius_fits(250.0, 500, tol) and not _frobenius_fits(1000.0, 2000, tol)
-    # any symbol with trace at most d passes up to d = 562, whatever its filling
-    assert _frobenius_fits(562.0, 562, tol) and not _frobenius_fits(563.0, 563, tol)
-    assert not _frobenius_fits(1.0, 4, 1e-18) and _frobenius_fits(0.0, 4, 0.0)
-
-
-def test_validation_skips_cholesky_where_the_gate_refuses(monkeypatch):
+def test_validation_tries_cholesky_before_eigvalsh(monkeypatch):
     calls = count_calls(monkeypatch, ("cholesky", "eigvalsh"))
-    Q = validate_symbol(np.diag([0.75, 0.5, 0.25]), tol=1e-18)  # c tr H > tol/2
-    assert calls == ["eigvalsh"]
+    Q = validate_symbol(np.diag([0.75, 0.5, 0.25]), tol=1e-18)  # no bound fits in tol/2
+    assert calls == ["cholesky", "eigvalsh"]
     assert np.array_equal(Q.eigenvalues, [0.75, 0.5, 0.25])
     calls.clear()
     validate_symbol(np.diag([0.75, 0.5, 0.25]))
@@ -249,6 +241,59 @@ def test_validation_skips_cholesky_where_the_gate_refuses(monkeypatch):
     with pytest.raises(SpectrumOutOfRange):
         validate_symbol(np.diag([1.5, 0.5, 0.25]))
     assert calls == ["cholesky", "cholesky", "eigvalsh"]  # 1 - H declines; eigvalsh decides
+
+
+def bench_matrix(d, rng):
+    """The interior symbol matrix of the ``bench`` command, built here
+    because ``_bench_instance`` reads its spectrum."""
+    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H = (M + M.conj().T) / 2.0
+    H *= 0.4 / float(np.abs(H).sum(axis=1).max())
+    return 0.5 * np.eye(d) + H
+
+
+def test_dense_interior_symbols_certify_beyond_the_frobenius_form(rng, monkeypatch):
+    # ||L||_F^2 is too large from d ~ 800 on; the Collatz-Wielandt bound decides
+    calls = count_calls(monkeypatch, ("eigh", "eigvalsh"))
+    symbols = [random_symbol(1000, rng, 0.05, 0.95)]
+    symbols += [validate_symbol(bench_matrix(d, rng)) for d in (1000, 2000)]
+    assert calls == []
+    assert all(Q._tol == np.inf for Q in symbols)  # certified, kept as given
+
+
+def test_collatz_wielandt_bound_on_a_fixed_factor():
+    absL = np.array([[1.0, 0.0], [3.0, 1.0]])
+    frobenius, *cw = _spread_bounds(absL)
+    rho = (11.0 + np.sqrt(117.0)) / 2.0  # spectral radius of |L|^T |L| = [[10, 3], [3, 1]]
+    assert frobenius == 11.0 and len(cw) == CW_STEPS + 1
+    assert cw[0] == pytest.approx(13.0, rel=1e-14)  # ||L||_1 ||L||_inf, above ||L||_F^2
+    assert cw[1] == pytest.approx(142.0 / 13.0, rel=1e-14)
+    assert all(b >= rho for b in cw) and cw[-1] < rho * (1.0 + 1e-6)
+    assert all(a >= b for a, b in zip(cw, cw[1:]))
+    # a pivot whose square underflows ends the power steps before a 0 / 0
+    assert len(list(_spread_bounds(np.diag([1e-160, 0.5])))) < CW_STEPS + 2
+    assert validate_symbol(np.diag([1e-320, 0.5]), tol=0.0).eigenvalues[1] == 1e-320
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    d=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 0.9, 1.1, 3.0, -0.1, -0.9, -1.1, -3.0]),
+    fraction=st.sampled_from([None, 0.2, 0.5, 0.8]),
+)
+def test_certificate_is_sound(d, seed, scale, fraction):
+    # lambda_min = scale * tol; a fraction sets tol below the Frobenius form
+    # (c tr H > tol/2), so that the Collatz-Wielandt bound decides
+    rng = np.random.default_rng(seed)
+    rest = rng.uniform(0.5, 1.0, d - 1)
+    c = np.sqrt(2.0) * (d + 3) * np.finfo(float).eps / 2.0  # as in _certified_psd
+    tol = CP_TOL if fraction is None else fraction * 2.0 * c * rest.sum()
+    U = random_unitary(d, rng)
+    H = (U * np.append(rest, scale * tol)) @ U.conj().T
+    H = (H + H.conj().T) / 2.0
+    if _certified_psd(H, tol):
+        assert np.linalg.eigvalsh(H)[0] >= -tol
 
 
 def test_certificate_declines_below_rounding():

@@ -465,9 +465,10 @@ def test_oracle_cap_env_override(monkeypatch):
         number_operator(4)
     monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "99")
     assert oracle_cap() == 14  # hard cap wins
-    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "nonsense")
-    with pytest.raises(DimensionCap):
-        oracle_cap()
+    for bad in ("nonsense", "0", "-3"):  # none is silently replaced
+        monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", bad)
+        with pytest.raises(DimensionCap, match=f"QUASIFREE_MAX_ORACLE_D .*{bad}"):
+            oracle_cap()
 
 
 NON_FINITE_SITES = {
