@@ -52,14 +52,14 @@ def dense_relative(r1: np.ndarray, r2: np.ndarray) -> float:
 
 def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     """The full symbol-versus-oracle suite at dimension d, every check at
-    every d the dense oracle accepts.  Each channel or Choi trial builds the
-    charge blocks C_m of one Choi matrix C = (+)_m C_m, at sum_m
-    C(2d, d+m)^3 multiply-adds, and the dense C is never assembled.  A
-    channel trial reads both dense actions off the blocks; a Choi trial takes
-    their spectra, whose union is C's and, scaled by 2^-d, J's, and its
-    partial trace, the Heisenberg image of the identity.  Their symbol sides
-    use the identities density-eigenvalues and exp-spectrum certify, and the
-    dense sides stay the Stinespring oracle."""
+    every d the dense oracle accepts.  Each channel trial builds the charge
+    blocks C_m of one Choi matrix C = (+)_m C_m, at sum_m C(2d, d+m)^3
+    multiply-adds, and the dense C is never assembled.  It reads both dense
+    actions off the blocks, and the first max(1, trials // 4) trials also
+    run the Choi checks on them: their spectra, whose union is C's and,
+    scaled by 2^-d, J's, and C's partial trace, the Heisenberg image of the
+    identity.  Their symbol sides use the identities density-eigenvalues and
+    exp-spectrum certify, and the dense sides stay the Stinespring oracle."""
     rng = np.random.default_rng(seed)
     results = []
     kinds = ("lambda", "gamma")
@@ -128,6 +128,8 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     results.append(CheckResult("mixture-rank1-affine", dev_mix, 1e-9))
 
     dev_cov = dev_dual = dev_comp = dev_heis = 0.0
+    dev_jam = dev_tr1 = dev_choi = 0.0
+    n = 1 << d
     for t in range(trials):
         c = random_channel(d, rng, kinds[t % 2])
         Q = random_symbol(d, rng, 0.05, 0.95)
@@ -147,21 +149,10 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
         one = apply_schrodinger(compose(c2, c), Q).matrix
         dev_comp = max(dev_comp, float(np.abs(two - one).max()))
         ss = apply_heisenberg_state(c, Q)
-        dense_heis = _choi_action(blocks, rho, heisenberg=True)
-        dev_heis = max(
-            dev_heis,
-            float(np.abs(ss.scale * exp_element(ss.argument) - dense_heis).max()),
-        )
-    results.append(CheckResult("channel-covariance", dev_cov, 1e-8))
-    results.append(CheckResult("channel-duality", dev_dual, 1e-9))
-    results.append(CheckResult("channel-composition", dev_comp, 1e-10))
-    results.append(CheckResult("heisenberg-state-vs-dense", dev_heis, 1e-8))
-
-    dev_jam = dev_tr1 = dev_choi = 0.0
-    n = 1 << d
-    for t in range(max(1, trials // 4)):
-        c = random_channel(d, rng, kinds[t % 2])
-        blocks = _choi_blocks(c)
+        heis = ss.scale * exp_element(ss.argument) - _choi_action(blocks, rho, heisenberg=True)
+        dev_heis = max(dev_heis, float(np.abs(heis).max()))
+        if t >= max(1, trials // 4):
+            continue
         wd = np.sort(np.concatenate([np.linalg.eigvalsh(block) for _, block in blocks]))
         # J = S C^T S / 2^d for the factor swap S, so C / 2^d has J's spectrum
         sym = np.sort(_subset_weights(jamiolkowski_symbol(c).symbol.eigenvalues))
@@ -171,6 +162,10 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
         cf = choi_exponential_form(c)
         wf = np.sort((cf.scale * exp_spectrum(cf.argument)).real)
         dev_choi = max(dev_choi, float(np.abs(wd - wf).max()))
+    results.append(CheckResult("channel-covariance", dev_cov, 1e-8))
+    results.append(CheckResult("channel-duality", dev_dual, 1e-9))
+    results.append(CheckResult("channel-composition", dev_comp, 1e-10))
+    results.append(CheckResult("heisenberg-state-vs-dense", dev_heis, 1e-8))
     results.append(CheckResult("jamiolkowski-spectrum", dev_jam, 1e-8))
     results.append(CheckResult("choi-partial-trace", dev_tr1, 1e-9))
     results.append(CheckResult("choi-spectrum", dev_choi, 1e-8))

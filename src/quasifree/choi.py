@@ -17,22 +17,22 @@ eigenvectors W from :func:`spectral`.  The environment state
 E(W) diag(p) E(W)* is never formed: E is multiplicative, so
 :func:`_kraus_entries` folds E(W)* into the rotation once, and its entries
 K[a, L, i, c] are the Kraus operators, channel*(x) = sum K x K*.
-Gamma-kind channels route through the lambda channel with conjugated A
-composed with the particle-hole automorphism, a signed reversal of the Fock
-basis that the entries apply as an index, independently of the symbol-side
-twist it checks.
+A gamma-kind channel is the lambda channel with conjugated A composed with
+the particle-hole automorphism, so its Choi matrix is that lambda channel's
+with the output factor conjugated by the particle-hole unitary, a signed
+reversal of the Fock basis that :func:`_choi_blocks` alone applies,
+independently of the symbol-side twist it checks.
 
 The rotation conserves particle number, so K[a, L, i, c] vanishes unless
-|a| + |L| = |i| + |c| (d - |a| in place of |a| for the gamma kind, whose
-reversal sends a to its complement).  Its C(4d, 2d) entries that can be
-nonzero (17.6 % of the 16^d at d = 5) are computed alone, as the sector
-blocks of E(V'), and :func:`_choi_blocks` gathers from them, by index tables
-cached per (d, kind), the 2d + 1 charge blocks of which the Choi matrix C is
-the direct sum.  That the blocks hold every entry exactly once is proved
-once, when their tables are built.  The blocks are the oracle's one
-representation of the channel: :func:`dense_choi` places them in C, and
-:func:`_choi_action` reads both dense actions off them,
-channel*(x)[a, b] = sum_ij x[i, j] C[(i,a),(j,b)] and its trace dual.
+|a| + |L| = |i| + |c|.  Its C(4d, 2d) entries that can be nonzero (17.6 % of
+the 16^d at d = 5) are computed alone, as the sector blocks of E(V'), and
+:func:`_choi_blocks` gathers from them, by index tables cached per d, the
+2d + 1 charge blocks of which the Choi matrix C is the direct sum.  That the
+blocks hold every entry exactly once is proved once, when their tables are
+built.  The blocks are the oracle's one representation of the channel:
+:func:`dense_choi` places them in C, and :func:`_choi_action` reads both
+dense actions off them, channel*(x)[a, b] = sum_ij x[i, j] C[(i,a),(j,b)]
+and its trace dual.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import QuasiFreeChannel, _as_lambda, checked_inverse
+from .channels import KIND_GAMMA, QuasiFreeChannel, _as_lambda, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -59,6 +59,7 @@ from .fock import (
     _split_permutation,
     _subset_weights,
     fock_basis,
+    oracle_cap,
 )
 from .symbols import SpectralSymbol, Symbol, _operand, _trusted_symbol, spectral
 
@@ -144,10 +145,18 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     return ChoiExponentialForm(scale=scale.real, argument=argument)
 
 
+def dense_choi_reach() -> int:
+    """The largest d of the dense Choi/Stinespring constructions, whose tables
+    live on 2d modes: half of :func:`oracle_cap`, at most ``DENSE_CHOI_CAP``."""
+    return min(DENSE_CHOI_CAP, oracle_cap() // 2)
+
+
 def _check_dense_dim(d: int) -> None:
-    if d > DENSE_CHOI_CAP:
+    reach = dense_choi_reach()
+    if d > reach:
         raise DimensionCap(
-            f"dense Choi/Stinespring constructions are capped at d={DENSE_CHOI_CAP}, got {d}"
+            f"dense Choi/Stinespring constructions refuse d={d}: their tables "
+            f"live on 2d={2 * d} modes, and they reach d={reach}"
         )
 
 
@@ -187,59 +196,37 @@ def _environment_symbol(
         raise InconsistentB(str(exc)) from exc
 
 
-@lru_cache(maxsize=None)
-def _kraus_tables(d: int, twisted: bool) -> tuple:
-    """Layout of the Kraus entries K[a, L, i, c] that can be nonzero, as the
-    tuple (starts, env, signs).
+def _kraus_entries(channel: QuasiFreeChannel) -> np.ndarray:
+    """The C(4d, 2d) Kraus entries K[a, L, i, c] that can be nonzero of the
+    channel's lambda(At, B), channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*.
 
-    The entries are the sector blocks of E(V') on 2d modes, each row-major,
-    in sector order: sector k fills entries starts[k]:starts[k+1].  Row state
-    r of the 2d modes splits into (a, L), column state s into (i, c), by
-    :func:`_split_permutation`; env[r] = L indexes the weight sqrt(p_L) of
-    row r, and signs[r] is the particle-hole sign of a when twisted (None
-    otherwise).  Where each entry sits in the Choi blocks is
-    :func:`_charge_blocks`' table.
-    """
-    n = 1 << d
-    a, env = np.divmod(_split_permutation(d, d), n)
-    signs = _particle_hole_signs(d)[a] if twisted else None
-    starts = np.cumsum([0] + [comb(2 * d, k) ** 2 for k in range(2 * d + 1)])
-    for table in (starts, env, signs):
-        if table is not None:
-            table.flags.writeable = False
-    return starts, env, signs
-
-
-def _kraus_entries(channel: QuasiFreeChannel) -> tuple[np.ndarray, bool]:
-    """The Kraus entries K[a, L, i, c] that can be nonzero, with
-    channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*, laid out as
-    :func:`_kraus_tables` says, and whether the channel is twisted.
-
-    The environment state is E(W) diag(p) E(W)*, W the eigenvectors of its
-    symbol and p their subset weights; 1 (x) E(W)* = U E(1 + W*) U* under the
-    split isomorphism U, so the entries are those of the rotation by
+    They are the sector blocks of E(V') on 2d modes, each row-major, in
+    sector order; row state r splits into (a, L), column state s into (i, c),
+    by :func:`_split_permutation`, and :func:`_charge_blocks` says where each
+    sits in the Choi blocks.  The environment state is E(W) diag(p) E(W)*, W
+    the eigenvectors of its symbol and p their subset weights;
+    1 (x) E(W)* = U E(1 + W*) U* under the split isomorphism U, so the
+    entries are those of the rotation by
     V' = [[A, sqrt(1-AA*)], [-W* sqrt(1-A*A), W* A*]] with index L scaled by
-    sqrt(p_L).  gamma(A, B) is lambda(conj A, B) after rho -> P* rho P, P the
-    particle-hole unitary, so its entries are signed by P and their index a
-    is reversed, which :func:`_charge_blocks` reads.  E(V') conserves
-    particle number, so its sector blocks, rows scaled, are all the entries.
+    sqrt(p_L).  E(V') conserves particle number, so its sector blocks, rows
+    scaled, are all the entries.
     """
     d = channel.dim
-    A, B, twisted = _as_lambda(channel)
+    A, B, _ = _as_lambda(channel)
     root_left, root_right, pinv_right = _stinespring_roots(A)
     env = _environment_symbol(root_right, pinv_right, B)
     Wh = env.eigenvectors.conj().T
     V = np.block([[A, root_left], [-Wh @ root_right, Wh @ A.conj().T]])
-    starts, env_of_row, signs = _kraus_tables(d, twisted)
-    scale = np.sqrt(_subset_weights(env.eigenvalues))[env_of_row]
-    if twisted:
-        scale *= signs
     basis = fock_basis(2 * d)
-    entries = np.empty(starts[-1], dtype=complex)
+    env_of_row = fock_basis(d).position[basis.masks >> d]  # L of each row state
+    scale = np.sqrt(_subset_weights(env.eigenvalues))[env_of_row]
+    entries = np.empty(comb(4 * d, 2 * d), dtype=complex)
+    start = 0
     for k, block in enumerate(_exp_blocks(V)):
-        out = entries[starts[k] : starts[k + 1]].reshape(block.shape)
+        out = entries[start : start + block.size].reshape(block.shape)
         np.multiply(block, scale[basis.sector(k), None], out=out)
-    return entries, twisted
+        start += block.size
+    return entries
 
 
 def _fock_operand(channel: QuasiFreeChannel, x, name: str, what: str) -> np.ndarray:
@@ -265,44 +252,41 @@ def stinespring_schrodinger(channel: QuasiFreeChannel, rho: np.ndarray) -> np.nd
 
 
 @lru_cache(maxsize=None)
-def _charge_blocks(d: int, twisted: bool) -> tuple:
+def _charge_blocks(d: int) -> tuple:
     """Per charge m = -d..d, the pair (rows, gather) of tables of the charge-m
     block of M[(i, a), (L, c)] = K[a, L, i, c].
 
-    Row (i, a) has charge N(a) - |i|, N(a) = |a|, or d - |a| when twisted;
-    column (L, c) has charge |c| - |L|; K vanishes off equal charges.  rows
-    are the row numbers i n + a of M and C, and gather[x, y] is the index,
-    among the entries of :func:`_kraus_entries`, of the block's entry at
-    row x and column y: entry (r, s) of sector k of E(V'), r the 2d-mode
-    state of (a, L) (a reversed when twisted) and s that of (i, c).  Each
-    table has C(2d, d+m) rows; :func:`_check_cover` proves that together they
-    hold every entry exactly once.
+    Row (i, a) has charge |a| - |i| and column (L, c) has charge |c| - |L|,
+    so one charge array on the pairs serves both, and K vanishes off equal
+    charges: a block's rows and columns are the same pairs.  rows are their
+    numbers i n + a in M and C, and gather[x, y] is the index, among the
+    entries of :func:`_kraus_entries`, of the block's entry at row x and
+    column y: entry (r, s) of sector k of E(V'), r the 2d-mode state of
+    (a, L) and s that of (i, c).  Each table has C(2d, d+m) rows;
+    :func:`_check_cover` proves that together they hold every entry exactly
+    once.
     """
     n = 1 << d
     size = _occupation(d).sum(axis=1)
     outer, inner = np.divmod(np.arange(n * n), n)  # (i, a) or (L, c)
-    row_charge = (d - size if twisted else size)[inner] - size[outer]
-    col_charge = size[inner] - size[outer]
+    charge = size[inner] - size[outer]
     # the 2d-mode state of each pair (left, right), its sector, place and width
     state = np.empty(n * n, dtype=np.intp)
     state[_split_permutation(d, d)] = np.arange(n * n)
     sector = (size[:, None] + size).ravel()
-    basis = fock_basis(2 * d)
-    place = state - np.array([basis.sector(k).start for k in range(2 * d + 1)])[sector]
     width = np.array([comb(2 * d, k) for k in range(2 * d + 1)])
-    starts, *_ = _kraus_tables(d, twisted)
-    a = n - 1 - inner if twisted else inner
+    place = state - (np.cumsum(width) - width)[sector]
+    starts = np.cumsum(width * width) - width * width  # of each sector's entries
     blocks = []
     for m in range(-d, d + 1):
-        rows = np.flatnonzero(row_charge == m)
-        cols = np.flatnonzero(col_charge == m)
-        r = a[rows, None] * n + outer[cols]  # (a, L)
-        s = outer[rows, None] * n + inner[cols]  # (i, c)
+        rows = np.flatnonzero(charge == m)
+        r = inner[rows, None] * n + outer[rows]  # (a, L)
+        s = outer[rows, None] * n + inner[rows]  # (i, c)
         k = sector[r]
         gather = (starts[k] + place[r] * width[k] + place[s]).astype(np.int32)
         rows.flags.writeable = gather.flags.writeable = False
         blocks.append((rows, gather))
-    _check_cover([gather for _, gather in blocks], starts[-1])
+    _check_cover([gather for _, gather in blocks], comb(4 * d, 2 * d))
     return tuple(blocks)
 
 
@@ -323,19 +307,28 @@ def _choi_blocks(channel: QuasiFreeChannel) -> list:
     """The blocks of the dense Choi matrix, one pair (rows, C_m) per charge
     m = -d..d: C[np.ix_(rows, rows)] = C_m, and C is zero off these blocks.
 
-    C = M M* for M[(i, a), (L, c)] = K[a, L, i, c], and M is zero off its
-    particle-number charge blocks, so C is the direct sum of the block
-    products: sum_m C(2d, d+m)^3 multiply-adds (3.8e7 at d = 5) in place of
-    the 4^(3d) of the full product (1.07e9).  Each block M_m is gathered
-    straight from the Kraus entries.
+    For lambda(At, B), C = M M* for M[(i, a), (L, c)] = K[a, L, i, c], and M
+    is zero off its particle-number charge blocks, so C is the direct sum of
+    the block products: sum_m C(2d, d+m)^3 multiply-adds (3.8e7 at d = 5) in
+    place of the 4^(3d) of the full product (1.07e9).  Each block M_m is
+    gathered straight from the Kraus entries.  For gamma, the one place the
+    oracle reads the kind, C is conjugated on the output factor by the
+    particle-hole unitary P e_a = s_a e_(n-1-a), s = :func:`_particle_hole_signs`:
+    row (i, a) of each M_m moves to (i, n - 1 - a) and is multiplied by s_a.
     """
     d = channel.dim
     _check_dense_dim(d)
+    n = 1 << d
+    signs = _particle_hole_signs(d) if channel.kind == KIND_GAMMA else None
     # C[(i,a),(j,b)] = [channel*(e_ij)]_ab = sum_{L,c} K[a,L,i,c] conj K[b,L,j,c]
-    entries, twisted = _kraus_entries(channel)
+    entries = _kraus_entries(channel)
     blocks = []
-    for rows, gather in _charge_blocks(d, twisted):
+    for rows, gather in _charge_blocks(d):
         block = entries[gather]
+        if signs is not None:
+            a = rows % n
+            block *= signs[a, None]
+            rows = rows + (n - 1 - 2 * a)
         blocks.append((rows, block @ block.conj().T))
     return blocks
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channels import QuasiFreeChannel, apply_schrodinger, new_channel
 from .checks import run_oracle_checks
-from .choi import DENSE_CHOI_CAP, choi_exponential_form, jamiolkowski_symbol
+from .choi import choi_exponential_form, dense_choi_reach, jamiolkowski_symbol
 from .entropy import _check_order, relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import QuasifreeError
 from .fock import exp_spectrum
@@ -215,8 +215,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if not 1 <= args.d <= DENSE_CHOI_CAP:
-        print(f"oracle-check requires 1 <= d <= {DENSE_CHOI_CAP}, got {args.d}", file=sys.stderr)
+    reach = dense_choi_reach()
+    if not 1 <= args.d <= reach:
+        print(f"oracle-check requires 1 <= d <= {reach}, got {args.d}", file=sys.stderr)
         return EXIT_BAD_FLAG
     if args.trials < 1:
         print(f"--trials must be >= 1, got {args.trials}", file=sys.stderr)

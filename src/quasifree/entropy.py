@@ -35,7 +35,9 @@ def renyi_entropy(Q: Symbol, p: float) -> float:
     snap = Q.dim * np.finfo(float).eps
     q = Q.eigenvalues
     q = np.where(q <= snap, 0.0, np.where(q >= 1.0 - snap, 1.0, q))
-    return float(np.sum(np.log((1.0 - q) ** p + q**p)) / (1.0 - p))
+    # log((1-q)^p + q^p) with m = max(q, 1-q) >= 1/2 factored out: no underflow at large p
+    m, s = np.maximum(q, 1.0 - q), np.minimum(q, 1.0 - q)
+    return float(np.sum(p * np.log(m) + np.log1p((s / m) ** p)) / (1.0 - p))
 
 
 def _binary_entropy(q: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ from .errors import (
     InvalidArgument,
     NotEvenState,
     NotOrthonormal,
+    ScaleOutOfRange,
     ZeroVector,
 )
 from .symbols import Symbol, _operand, spectral
@@ -230,7 +231,8 @@ def exp_spectrum(X) -> np.ndarray:
 
     The multiset consists of all subset products of the nonzero eigenvalues
     (numerical rank r, threshold ``SPECTRUM_RANK_TOL`` relative to the
-    largest magnitude), padded with 2^d - 2^r zeros.
+    largest magnitude), padded with 2^d - 2^r zeros.  A product beyond double
+    range raises :class:`ScaleOutOfRange`; one that underflows is 0.
     """
     X = _operand(X, "X")
     d = X.shape[0]
@@ -239,8 +241,14 @@ def exp_spectrum(X) -> np.ndarray:
     scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
     nonzero = lam[np.abs(lam) > SPECTRUM_RANK_TOL * scale]
     products = np.array([1.0 + 0.0j])
-    for v in nonzero:
-        products = np.concatenate([products, v * products])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in nonzero:
+            products = np.concatenate([products, v * products])
+    if not np.isfinite(products).all():
+        largest = np.log(np.abs(nonzero)).clip(0.0).sum()
+        raise ScaleOutOfRange(
+            f"E(X) has a subset product outside double range: log|.| = {largest:.6e}"
+        )
     zeros = np.zeros((1 << d) - products.size, dtype=complex)
     return np.concatenate([products, zeros])
 

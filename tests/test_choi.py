@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from math import comb
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ from quasifree.choi import _environment_symbol as environment_spectrum
 from quasifree.choi import (
     _charge_blocks,
     _check_cover,
+    _choi_blocks,
     _kraus_entries,
-    _kraus_tables,
     _stinespring_roots,
 )
 from quasifree.fock import _particle_hole_signs, _split_permutation, _subset_weights
@@ -215,12 +216,14 @@ def test_dense_choi_is_the_full_product_by_charge_blocks(rng, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_charge_block_cover_refuses_a_table_that_misses_an_entry(kind):
+def test_charge_block_cover_refuses_a_table_that_misses_an_entry(rng, kind):
     d = 2
-    twisted = kind == "gamma"
-    count = _kraus_tables(d, twisted)[0][-1]
-    gathers = [gather.copy() for _, gather in _charge_blocks(d, twisted)]
-    _check_cover(gathers, count)  # the built tables hold every entry once
+    count = comb(4 * d, 2 * d)
+    gathers = [gather.copy() for _, gather in _charge_blocks(d)]
+    _check_cover(gathers, count)  # the one table set holds every entry once
+    # the gamma twist relabels rows: either kind's blocks hold each row of C once
+    rows = np.concatenate([rows for rows, _ in _choi_blocks(random_channel(d, rng, kind))])
+    assert np.array_equal(np.sort(rows), np.arange(4**d))
     central = gathers[d]  # charge 0, C(2d, d) rows and columns
     central[0, 0] = central[0, 1]  # entry central[0, 0] is missed, central[0, 1] read twice
     with pytest.raises(QuasifreeError, match="exactly once"):
@@ -232,6 +235,16 @@ def test_charge_block_cover_refuses_a_table_that_misses_an_entry(kind):
 def test_dense_choi_dimension_cap():
     with pytest.raises(DimensionCap):
         dense_choi(identity_channel(7))
+
+
+def test_dense_choi_reach_follows_a_lowered_oracle_cap(monkeypatch, rng):
+    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "6")
+    c = random_channel(4, rng, "gamma")
+    with pytest.raises(DimensionCap, match=r"d=4: .* 2d=8 modes, and they reach d=3"):
+        dense_choi(c)
+    with pytest.raises(DimensionCap, match="d=4"):
+        stinespring_heisenberg(c, np.eye(16))
+    assert dense_choi(random_channel(3, rng, "lambda")).shape == (64, 64)
 
 
 def test_stinespring_identity_and_replacer(rng):
@@ -378,12 +391,11 @@ def test_environment_spectrum_matches_validated_reference(rng):
             assert np.all(np.diff(env.eigenvalues) <= 0.0)
 
 
-def kraus_factor_reference(c):
-    """K as the dense construction builds it: E(V') on 2d modes scattered by
-    the split permutation, index L scaled by sqrt(p_L), and for gamma the
-    signed reversal of index a."""
+def lambda_kraus_factor_reference(c):
+    """K of lambda(At, B) as the dense construction builds it: E(V') on 2d
+    modes scattered by the split permutation, index L scaled by sqrt(p_L)."""
     d, n = c.dim, 2**c.dim
-    A, B, twisted = _as_lambda(c)
+    A, B, _ = _as_lambda(c)
     root_left, root_right, pinv_right = _stinespring_roots(A)
     env = environment_spectrum(root_right, pinv_right, B)
     Wh = env.eigenvectors.conj().T
@@ -392,25 +404,28 @@ def kraus_factor_reference(c):
     K = np.empty((n, n, n, n), dtype=complex)
     K.reshape(n * n, n * n)[np.ix_(t, t)] = exp_element(V)
     K *= np.sqrt(_subset_weights(env.eigenvalues))[:, None, None]
-    if twisted:
-        K = K[::-1] * _particle_hole_signs(d)[::-1, None, None, None]
     return K
 
 
-def kraus_offsets_reference(d, twisted):
+def kraus_factor_reference(c):
+    """K of the channel: for gamma, the lambda(At, B) factor after the signed
+    reversal of index a."""
+    K = lambda_kraus_factor_reference(c)
+    if c.kind == "gamma":
+        K = K[::-1] * _particle_hole_signs(c.dim)[::-1, None, None, None]
+    return K
+
+
+def kraus_offsets_reference(d):
     """The flat offset in K[a, L, i, c] of each Kraus entry, in the layout of
-    _kraus_tables: entry (r, s) of sector k of E(V') sits at row a n + L
-    (a reversed to n - 1 - a when twisted) and column i n + c, where the split
-    permutation t sends the 2d-mode states r and s to (a, L) and (i, c)."""
+    _kraus_entries: entry (r, s) of sector k of E(V') sits at row a n + L and
+    column i n + c, where the split permutation t sends the 2d-mode states r
+    and s to (a, L) and (i, c)."""
     n = 2**d
     t = _split_permutation(d, d)
-    a, env = np.divmod(t, n)
-    if twisted:
-        a = n - 1 - a
-    krow = a * n + env
     basis = fock_basis(2 * d)
     sectors = [basis.sector(k) for k in range(2 * d + 1)]
-    return np.concatenate([(krow[sl, None] * (n * n) + t[sl]).ravel() for sl in sectors])
+    return np.concatenate([(t[sl, None] * (n * n) + t[sl]).ravel() for sl in sectors])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -418,10 +433,10 @@ def test_kraus_factor_matches_the_dense_construction(rng, kind):
     for d in (1, 2, 3, 4):
         n = 2**d
         c = random_channel(d, rng, kind)
-        entries, twisted = _kraus_entries(c)
+        entries = _kraus_entries(c)
         K = np.zeros(n**4, dtype=complex)
-        K[kraus_offsets_reference(d, twisted)] = entries
-        K, ref = K.reshape(n, n, n, n), kraus_factor_reference(c)
+        K[kraus_offsets_reference(d)] = entries
+        K, ref = K.reshape(n, n, n, n), lambda_kraus_factor_reference(c)
         assert np.array_equal(K, ref)  # the reference's zeros may be -0.0
         nonzero = ref != 0
         assert np.array_equal(K[nonzero].view(np.uint64), ref[nonzero].view(np.uint64))
@@ -520,7 +535,7 @@ def test_oracle_checks_build_one_kraus_factor_per_trial(monkeypatch):
         monkeypatch.setattr(quasifree.checks, name, recorded)
     results = run_oracle_checks(4, 4, seed=5)
     assert all(r.passed for r in results)
-    assert len(builds) == 5  # 4 channel trials and 1 Choi trial
+    assert len(builds) == 4  # 4 channel trials, the first also serving the Choi checks
     assert max(dense_dims) == 4  # nothing densified on the 2d modes of a Choi form
 
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import quasifree.cli
 from quasifree import (
     DimensionCap,
     InvalidOrder,
@@ -299,6 +300,13 @@ def test_spectrum(tmp_path, capsys):
     assert np.allclose(sorted(v.real for v in values), [1, 2, 3, 6])
 
 
+def test_spectrum_beyond_double_range_is_exit_3(tmp_path, capsys):
+    path = write_matrix(tmp_path / "x.json", np.diag([1e200, 1e200]))
+    assert main(["spectrum", path]) == 3
+    captured = capsys.readouterr()
+    assert "Infinity" not in captured.out and "outside double range" in captured.err
+
+
 def test_oracle_check_cli(capsys):
     assert main(["oracle-check", "--d", "2", "--trials", "3", "--seed", "1"]) == 0
     first = capsys.readouterr().out
@@ -307,6 +315,21 @@ def test_oracle_check_cli(capsys):
     assert capsys.readouterr().out == first  # seeded determinism
     assert main(["oracle-check", "--d", "20"]) == 4
     capsys.readouterr()
+
+
+def test_oracle_check_refuses_beyond_a_lowered_cap_before_any_work(monkeypatch, capsys):
+    # the Choi constructions at d read tables on 2d modes: a cap of 6 reaches d = 3
+    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "6")
+    assert main(["oracle-check", "--d", "3", "--trials", "2"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+    def refuse(*args):
+        raise AssertionError("oracle-check started work it cannot finish")
+
+    monkeypatch.setattr(quasifree.cli, "run_oracle_checks", refuse)
+    assert main(["oracle-check", "--d", "4"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "oracle-check requires 1 <= d <= 3, got 4\n")
 
 
 @pytest.mark.parametrize("argv", [["oracle-check", "--d", "2"], ["bench", "--dims", "5"]])

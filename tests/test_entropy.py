@@ -35,6 +35,18 @@ def test_renyi_two_mode_frozen():
     assert abs(renyi_entropy(sym([0.25, 0.5]), 2.0) - (-np.log(0.3125))) < 1e-12
 
 
+def test_renyi_large_orders_stay_finite():
+    # (1-q)^p + q^p underflows from p ~ 1075 at q = 1/2; the entropy tends to
+    # p/(p-1) sum(-log max(q, 1-q)), within sum log 2 / (p-1) at every p
+    Q = sym([0.5, 0.3])
+    limit = np.sum(-np.log([0.5, 0.7]))
+    at_1000 = renyi_entropy(Q, 1000.0)
+    for p in (2000.0, 1e6):
+        value = renyi_entropy(Q, p)
+        assert np.isfinite(value) and value <= at_1000
+        assert abs(value - p / (p - 1.0) * limit) <= 2 * np.log(2.0) / (p - 1.0)
+
+
 def test_renyi_invalid_orders():
     Q = sym([0.5])
     for p in (1.0, 0.0, -2.0, np.nan, np.inf, -np.inf):

@@ -10,6 +10,7 @@ from quasifree import (
     InvalidArgument,
     NotEvenState,
     NotOrthonormal,
+    ScaleOutOfRange,
     ZeroVector,
     creation_operator,
     density_matrix,
@@ -155,6 +156,13 @@ def test_exp_spectrum_examples():
     lam = 0.37 - 0.2j
     got = np.sort_complex(exp_spectrum(np.array([[lam]])))
     assert np.allclose(got, np.sort_complex(np.array([1.0, lam])))
+
+
+def test_exp_spectrum_refuses_a_product_beyond_double_range():
+    with pytest.raises(ScaleOutOfRange, match=r"log\|\.\| = 9\.210340e\+02"):
+        exp_spectrum(np.diag([1e200, 1e200]))  # the product 1e400 overflows
+    got = exp_spectrum(np.diag([1e150, 1e145]))  # 1e295 is in range
+    assert np.isfinite(got).all() and abs(np.sort(got.real)[-1] / 1e295 - 1.0) < 1e-12
 
 
 def test_exp_spectrum_matches_dense(rng):
