@@ -186,27 +186,24 @@ def checked_inverse(P: np.ndarray, cond_max: float, singular, what: str):
     raised when cond_2(P) >= cond_max, and :class:`ScaleOutOfRange`, naming
     ``what`` and giving log|det P|, when det P is not finite or underflows to 0.
 
-    One LU-based inverse screens the condition number: cond_2 <= d cond_1,
-    so d ||P||_1 ||P^-1||_1 < cond_max / 2 accepts (the factor 2 absorbs the
+    One LU-based inverse screens the condition number: an LU breakdown (an
+    exactly zero pivot) is ``singular(inf)``, and as cond_2 <= d cond_1,
+    d ||P||_1 ||P^-1||_1 < cond_max / 2 accepts (the factor 2 absorbs the
     rounding of the computed inverse, whose relative error is about
-    d u cond_1 << 1 below the limit).  Anything else, including a
-    LinAlgError from the inverse, goes to np.linalg.cond, which decides.
-    det P takes a second LU, as numpy keeps no factorization to reuse.
+    d u cond_1 << 1 below the limit).  Anything else goes to np.linalg.cond,
+    which decides.  det P takes a second LU, as numpy keeps no factorization
+    to reuse.
     """
     try:
         Pinv = np.linalg.inv(P)
-        screened = P.shape[0] * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0
     except np.linalg.LinAlgError:
-        Pinv, screened = None, False
-    if not screened:
+        Pinv = None
+    if Pinv is None:  # raised outside the handler, so no LinAlgError is chained to pin frames
+        raise singular(np.inf)
+    if not P.shape[0] * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0:
         cond = np.linalg.cond(P)
         if cond >= cond_max:
             raise singular(cond)
-        # an LU breakdown below the limit re-raises its LinAlgError here; the
-        # error is not kept across the cond call, where its traceback would
-        # pin the caller's frames
-        if Pinv is None:
-            Pinv = np.linalg.inv(P)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         det = complex(np.linalg.det(P))
     if not (np.isfinite(det) and det != 0):

@@ -54,7 +54,6 @@ from .errors import (
 )
 from .fock import (
     _exp_blocks,
-    _occupation,
     _particle_hole_signs,
     _split_permutation,
     _subset_weights,
@@ -267,7 +266,7 @@ def _charge_blocks(d: int) -> tuple:
     once.
     """
     n = 1 << d
-    size = _occupation(d).sum(axis=1)
+    size = fock_basis(d).occupation.sum(axis=1)
     outer, inner = np.divmod(np.arange(n * n), n)  # (i, a) or (L, c)
     charge = size[inner] - size[outer]
     # the 2d-mode state of each pair (left, right), its sector, place and width

@@ -6,10 +6,12 @@ Matrices travel as JSON documents with explicit [re, im] entry pairs:
 
 and channels as {"kind": "lambda"|"gamma", "A": <matrix>, "B": <matrix>}.
 
-Exit codes: 0 success, 1 failed oracle-check invariant, 2 parse error,
-3 invalid symbol/channel, inapplicable closed form or a linear-algebra
-failure (e.g. an eigensolver that does not converge), 4 invalid flag value,
-5 complete-positivity violation.
+Exit codes: 0 success, 1 failed oracle-check invariant, 2 parse error
+(including a file that is not UTF-8 or nests too deeply), 3 invalid
+symbol/channel, inapplicable closed form or a linear-algebra failure (e.g. an
+eigensolver that does not converge), 4 invalid flag value or a dimension out
+of range (including one too large to allocate), 5 complete-positivity
+violation.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: undecodable bytes or JSON
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -363,6 +365,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:  # a dimension too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BAD_FLAG
 
 
 def run() -> None:

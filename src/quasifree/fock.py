@@ -16,8 +16,10 @@ follows from that choice.
 
 Operators are plain (2^d, 2^d) complex ndarrays over this basis.  The basis
 also carries each subset as a bitmask (bit j set iff mode j is occupied),
-``masks[i]``, and the inverse lookup ``position[mask]``, so that basis
-permutations and signs are array expressions rather than loops over subsets.
+``masks[i]``, the inverse lookup ``position[mask]`` and the tables of
+:class:`FockBasis`, so that basis permutations, signs and minors are array
+expressions rather than loops over subsets.  Every builder reaches them
+through :func:`fock_basis`, the one place that refuses a d above the cap.
 
 Each builder costs what its nonzero structure costs.  E(X) is block diagonal
 by particle number, and its sector-k block is computed from the sector-(k-1)
@@ -29,9 +31,9 @@ permutation, applied as an index.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -53,9 +55,6 @@ HARD_ORACLE_CAP = 14
 #: numerical kernel threshold for elementary-vector detection
 ELEMENTARY_KERNEL_TOL = 1e-9
 
-#: exp_spectrum counts eigenvalues of X below this (relative to the largest) as 0
-SPECTRUM_RANK_TOL = 1e-9
-
 EVEN_STATE_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
 
@@ -74,21 +73,25 @@ def oracle_cap() -> int:
     return min(value, HARD_ORACLE_CAP)
 
 
-def _check_cap(d: int) -> None:
-    cap = oracle_cap()
-    if d > cap:
-        raise DimensionCap(
-            f"dense oracle refuses d={d} modes (cap {cap}; 2^{d} basis states)"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Graded-lexicographic subset order on the Fock space of d modes."""
+    """Graded-lexicographic subset order on the Fock space of d modes, with
+    the read-only tables the dense builders read.
+
+    ``occupation`` is the (2^d, d) table of 0/1 whose row i marks the modes
+    occupied in state i.  ``laplace[k]``, k = 1..d, is the pair (modes, drop)
+    of (C(d, k), k) index tables of sector k (``laplace[0]`` is None):
+    modes[K, j] is the j-th occupied mode of the sector-k subset K in
+    ascending order, and drop[K, j] the position of K minus that mode within
+    sector k-1.  Removing modes[K, j] from K passes it over j lower modes,
+    hence the sign (-1)^j in every expansion that reads these tables.
+    """
 
     d: int
     masks: np.ndarray = field(repr=False)
     position: np.ndarray = field(repr=False)
+    occupation: np.ndarray = field(repr=False)
+    laplace: tuple = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -100,10 +103,15 @@ class FockBasis:
 
 
 def fock_basis(d: int) -> FockBasis:
-    """The basis of d modes, refused above :func:`oracle_cap` before it is built."""
+    """The basis of d modes, refused above :func:`oracle_cap` before it is
+    built: the one entry to the cached basis and its tables."""
     if d < 0:
         raise DimensionMismatch(f"mode number must be >= 0, got {d}")
-    _check_cap(d)
+    cap = oracle_cap()
+    if d > cap:
+        raise DimensionCap(
+            f"dense oracle refuses d={d} modes (cap {cap}; 2^{d} basis states)"
+        )
     return _fock_basis(d)
 
 
@@ -113,39 +121,17 @@ def _fock_basis(d: int) -> FockBasis:
     masks = np.array([sum(1 << j for j in s) for s in subsets], dtype=np.intp)
     position = np.empty_like(masks)
     position[masks] = np.arange(masks.size)
-    masks.flags.writeable = position.flags.writeable = False
-    return FockBasis(d=d, masks=masks, position=position)
-
-
-@lru_cache(maxsize=None)
-def _occupation(d: int) -> np.ndarray:
-    """(2^d, d) table of 0/1: row i marks the modes occupied in basis state i."""
-    occ = (fock_basis(d).masks[:, None] >> np.arange(d)) & 1
-    occ.flags.writeable = False
-    return occ
-
-
-@lru_cache(maxsize=None)
-def _laplace_tables(d: int) -> tuple:
-    """At index k = 1..d, the pair (modes, drop) of (C(d, k), k) index tables
-    of sector k; index 0 is None.
-
-    modes[K, j] is the j-th occupied mode of the sector-k subset K in ascending
-    order, and drop[K, j] the position of K minus that mode within sector k-1.
-    Removing modes[K, j] from K passes it over j lower modes, hence the sign
-    (-1)^j in every expansion that reads these tables.
-    """
-    basis = fock_basis(d)
-    occ = _occupation(d)
-    tables = [None]
+    occupation = (masks[:, None] >> np.arange(d)) & 1
+    basis = FockBasis(d, masks, position, occupation, laplace=())
+    laplace = [None]
     for k in range(1, d + 1):
         sl = basis.sector(k)
-        modes = np.nonzero(occ[sl])[1].reshape(-1, k)
-        removed = basis.masks[sl, None] ^ (1 << modes)
-        drop = basis.position[removed] - basis.sector(k - 1).start
-        modes.flags.writeable = drop.flags.writeable = False
-        tables.append((modes, drop))
-    return tuple(tables)
+        modes = np.nonzero(occupation[sl])[1].reshape(-1, k)
+        drop = position[masks[sl, None] ^ (1 << modes)] - basis.sector(k - 1).start
+        laplace.append((modes, drop))
+    for table in (masks, position, occupation, *chain(*laplace[1:])):
+        table.flags.writeable = False
+    return replace(basis, laplace=tuple(laplace))
 
 
 def creation_operator(phi) -> np.ndarray:
@@ -156,7 +142,7 @@ def creation_operator(phi) -> np.ndarray:
     phi = _operand(np.ravel(phi), "phi", ndim=1)
     d = phi.shape[0]
     basis = fock_basis(d)
-    occ = _occupation(d)
+    occ = basis.occupation
     below = np.cumsum(occ, axis=1) - occ  # occupied modes below each mode
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for mode in np.flatnonzero(phi):
@@ -172,8 +158,7 @@ def annihilation_operator(phi) -> np.ndarray:
 
 def number_operator(d: int) -> np.ndarray:
     """Diagonal operator counting the occupied modes of each basis state."""
-    _check_cap(d)
-    return np.diag(_occupation(d).sum(axis=1).astype(complex))
+    return np.diag(fock_basis(d).occupation.sum(axis=1).astype(complex))
 
 
 def _exp_blocks(X: np.ndarray):
@@ -185,7 +170,7 @@ def _exp_blocks(X: np.ndarray):
     sum_j (-1)^j X[m_j, min L] E_{k-1}[K - m_j, L - min L], m_j the j-th mode
     of K.  Only the previous block is kept.
     """
-    rows, cols = _laplace_tables(X.shape[0]), _laplace_tables(X.shape[1])
+    rows, cols = fock_basis(X.shape[0]).laplace, fock_basis(X.shape[1]).laplace
     prev = np.ones((1, 1), dtype=complex)
     yield prev
     for k in range(1, min(X.shape) + 1):
@@ -213,7 +198,7 @@ def exp_element(X) -> np.ndarray:
 
     Computed sector by sector with no determinants: each sector-k minor is
     the Laplace expansion along its lowest column over sector-(k-1) minors,
-    through index tables cached per d.
+    through the index tables of :func:`fock_basis`.
     """
     X = _operand(X, "X")
     d = X.shape[0]
@@ -226,31 +211,24 @@ def exp_element(X) -> np.ndarray:
 
 
 def exp_spectrum(X) -> np.ndarray:
-    """Eigenvalue multiset of exp_element(X), length 2^d, computed at
-    polynomial cost from the eigenvalues of X.
+    """Eigenvalue multiset of exp_element(X), length 2^d, without forming it:
+    the subset products of the eigenvalues of X, in basis order.
 
-    The multiset consists of all subset products of the nonzero eigenvalues
-    (numerical rank r, threshold ``SPECTRUM_RANK_TOL`` relative to the
-    largest magnitude), padded with 2^d - 2^r zeros.  A product beyond double
-    range raises :class:`ScaleOutOfRange`; one that underflows is 0.
+    A product beyond double range raises :class:`ScaleOutOfRange`; one that
+    underflows is 0.
     """
     X = _operand(X, "X")
     d = X.shape[0]
-    _check_cap(d)  # the multiset itself is 2^d long
+    fock_basis(d)  # refused before the eigensolve: the multiset is 2^d long
     lam = np.linalg.eigvals(X)
-    scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
-    nonzero = lam[np.abs(lam) > SPECTRUM_RANK_TOL * scale]
-    products = np.array([1.0 + 0.0j])
     with np.errstate(over="ignore", invalid="ignore"):
-        for v in nonzero:
-            products = np.concatenate([products, v * products])
+        products = _subset_products(d, lam, 1.0)
     if not np.isfinite(products).all():
-        largest = np.log(np.abs(nonzero)).clip(0.0).sum()
+        largest = np.log(np.maximum(np.abs(lam), 1.0)).sum()
         raise ScaleOutOfRange(
             f"E(X) has a subset product outside double range: log|.| = {largest:.6e}"
         )
-    zeros = np.zeros((1 << d) - products.size, dtype=complex)
-    return np.concatenate([products, zeros])
+    return products
 
 
 def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
@@ -267,7 +245,6 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
         d = vecs[0].shape[0]
     if any(v.shape[0] != d for v in vecs):
         raise DimensionMismatch("vectors must share the one-particle dimension")
-    _check_cap(d)
     V = np.stack(vecs, axis=1) if vecs else np.zeros((d, 0))
     k = V.shape[1]
     gram_dev = np.abs(V.conj().T @ V - np.eye(k)).max(initial=0.0)
@@ -279,11 +256,17 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _subset_products(d: int, inside, outside) -> np.ndarray:
+    """For each basis subset L of d modes, in basis order, the product over
+    the modes j of inside_j (j in L) or outside_j (j not in L); each of
+    inside and outside is a length-d array or a scalar.  Every 2^d diagonal
+    of the oracle is one of these."""
+    return np.where(fock_basis(d).occupation, inside, outside).prod(axis=1)
+
+
 def _subset_weights(values: np.ndarray) -> np.ndarray:
-    """For each basis subset L, prod_{r in L} v_r * prod_{s not in L} (1 - v_s),
-    in graded-lexicographic order."""
-    occ = _occupation(values.shape[0]).astype(bool)
-    return np.where(occ, values, 1.0 - values).prod(axis=1)
+    """The quasi-free weights prod_{r in L} v_r * prod_{s not in L} (1 - v_s)."""
+    return _subset_products(values.shape[0], values, 1.0 - values)
 
 
 def density_matrix(Q: Symbol) -> np.ndarray:
@@ -296,11 +279,9 @@ def density_matrix(Q: Symbol) -> np.ndarray:
     (Q), which is how it is evaluated here, one particle-number sector at a
     time since E(V) is block diagonal.
     """
-    d = Q.dim
-    _check_cap(d)
+    basis = fock_basis(Q.dim)
     s = spectral(Q)
     weights = _subset_weights(s.eigenvalues)
-    basis = fock_basis(d)
     rho = np.zeros((basis.size, basis.size), dtype=complex)
     for k, block in enumerate(_exp_blocks(s.eigenvectors)):
         sl = basis.sector(k)
@@ -332,8 +313,7 @@ def is_elementary(phi, d: int, k: int) -> bool:
 def _wedge_map(phi: np.ndarray, d: int, k: int) -> np.ndarray:
     """Matrix of chi -> chi ^ phi from one-particle vectors to sector k+1:
     T[U, m_j] = (-1)^j phi[U - m_j] over the sector-(k+1) subsets U."""
-    _check_cap(d)
-    modes, drop = _laplace_tables(d)[k + 1]
+    modes, drop = fock_basis(d).laplace[k + 1]
     coeff = phi[drop]
     coeff[:, 1::2] = -coeff[:, 1::2]
     T = np.zeros((modes.shape[0], d), dtype=complex)
@@ -369,8 +349,7 @@ def parity_operator(d: int) -> np.ndarray:
     """Self-adjoint unitary with entry (-1)^(#occupied) on each basis state;
     equals exp_element(-1), squares to 1, anticommutes with every creation
     operator.  The + sign is a fixed internal choice."""
-    _check_cap(d)
-    return np.diag(((-1.0) ** _occupation(d).sum(axis=1)).astype(complex))
+    return np.diag(_subset_products(d, -1.0, 1.0).astype(complex))
 
 
 def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
@@ -392,12 +371,9 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
 
 
 def _particle_hole_signs(d: int) -> np.ndarray:
-    """(-1)^sum_{j in L} (d-1-j), times (-1)^(d-|L|) when d is even, per state L."""
-    occ = _occupation(d)
-    exponent = (occ * np.arange(d - 1, -1, -1)).sum(axis=1)
-    if d % 2 == 0:
-        exponent += d - occ.sum(axis=1)
-    return (-1.0) ** exponent
+    """(-1)^sum_{j in L} (d-1-j), times (-1)^(d-|L|) when d is even, per state
+    L: in either case the product of (-1)^j over the modes j in L."""
+    return _subset_products(d, (-1.0) ** np.arange(d), 1.0)
 
 
 def particle_hole_unitary(d: int) -> np.ndarray:
@@ -410,10 +386,10 @@ def particle_hole_unitary(d: int) -> np.ndarray:
     complementing reverses the basis order, so it is built as those signs on
     the anti-diagonal.
     """
-    _check_cap(d)
-    n = 1 << d
+    signs = _particle_hole_signs(d)
+    n = signs.size
     W = np.zeros((n, n), dtype=complex)
-    W[np.arange(n - 1, -1, -1), np.arange(n)] = _particle_hole_signs(d)
+    W[np.arange(n - 1, -1, -1), np.arange(n)] = signs
     return W
 
 

@@ -73,8 +73,16 @@ def _operand(M, name: str, ndim: int = 2, nonempty: bool = False) -> np.ndarray:
     """M as a complex square matrix (``ndim`` 2) or vector (``ndim`` 1), not
     empty if ``nonempty``, with finite entries: the one gate for every matrix
     and vector operand.  :class:`DimensionMismatch` for a wrong shape or an
-    empty operand, :class:`InvalidArgument` for a NaN or infinite entry."""
-    M = np.asarray(M, dtype=complex)
+    empty operand, :class:`InvalidArgument` for a ragged nesting, an entry
+    that is not a number (a string is not read as one) or a NaN or infinite
+    entry."""
+    try:
+        M = np.asarray(M)
+    except ValueError as exc:  # a ragged nesting
+        raise InvalidArgument(f"{name} is ragged, not an array of numbers") from exc
+    if M.dtype.kind not in "biufc":
+        raise InvalidArgument(f"{name} has entries that are not numbers (dtype {M.dtype})")
+    M = M.astype(complex, copy=False)
     if M.ndim != ndim or M.shape[0] != M.shape[-1]:
         what = "square" if ndim == 2 else "one-dimensional"
         raise DimensionMismatch(f"expected a {what} {name}, got shape {M.shape}")

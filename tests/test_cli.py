@@ -15,6 +15,7 @@ from quasifree import (
     exp_spectrum,
 )
 from quasifree.cli import (
+    _BLAS_THREAD_VARS,
     ParseError,
     _bench_instance,
     _numeric_pairs,
@@ -224,6 +225,52 @@ def test_linalg_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["entropy", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "did not converge" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe\x00", b"[" * 100_000], ids=["not-utf8", "nested"])
+def test_undecodable_document_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def test_out_of_memory_is_exit_4(monkeypatch, capsys):
+    for var in _BLAS_THREAD_VARS:  # keeps bench in-process
+        monkeypatch.setenv(var, "1")
+    # d^2 doubles are 1.1 EiB, beyond any address space: numpy's request fails
+    # at once, whatever the system's overcommit policy, and nothing is allocated
+    assert main(["bench", "--dims", "400000000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
+# (argv with {doc} for the document's path, document, exit code, stderr)
+CLI_REFUSALS = {
+    "rows 0": (["entropy", "{doc}"], '{"rows": 0, "cols": 1, "data": []}', 2,
+               "error: rows and cols must be positive"),
+    "channel list": (["jamiolkowski", "{doc}"], "[]", 2,
+                     "error: channel document must be a JSON object"),
+    "channel without B": (["jamiolkowski", "{doc}"],
+                          json.dumps({"kind": "lambda", "A": {"rows": 1, "cols": 1, "data": [[0.5, 0]]}}),
+                          2, "error: channel document missing field 'B'"),
+    "trials 0": (["oracle-check", "--trials", "0"], None, 4, "--trials must be >= 1, got 0"),
+    "dims x": (["bench", "--dims", "x"], None, 4,
+               "--dims must be a comma-separated list of integers: x"),
+    "dims 0": (["bench", "--dims", "0"], None, 4, "--dims entries must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_REFUSALS))
+def test_cli_refusals_are_worded(tmp_path, capsys, case):
+    argv, doc, code, line = CLI_REFUSALS[case]
+    path = tmp_path / "doc.json"
+    if doc is not None:
+        path.write_text(doc)
+    assert main([arg.format(doc=path) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
 
 
 def test_evolve_identity(tmp_path, capsys):

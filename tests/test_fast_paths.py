@@ -390,6 +390,19 @@ def test_singular_b_error_does_not_pin_the_caller():
         gc.enable()
 
 
+def test_lu_breakdown_is_singular_without_svd(monkeypatch):
+    # an exactly zero pivot of the LU is the verdict: cond, a full SVD, is not asked
+    def no_cond(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called after an LU breakdown")
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    with pytest.raises(SingularB):
+        choi_exponential_form(new_channel("lambda", np.zeros((3, 3)), np.zeros((3, 3))))
+    # lambda(0, 1) on X = 0: the pivot 1 + (X - 1) B is 0
+    with pytest.raises(SingularPivot, match="pivot condition number inf"):
+        apply_heisenberg_exp(new_channel("lambda", np.zeros((2, 2)), np.eye(2)), np.zeros((2, 2)))
+
+
 def test_well_conditioned_pivot_skips_svd(rng, monkeypatch):
     c = random_channel(5, rng, "lambda")
     X = 0.3 * random_unitary(5, rng)

@@ -7,23 +7,30 @@ from conftest import brute_subset_products, random_density
 
 from quasifree import (
     DimensionCap,
+    DimensionMismatch,
     InvalidArgument,
     NotEvenState,
     NotOrthonormal,
     ScaleOutOfRange,
     ZeroVector,
+    apply_heisenberg_state,
+    compose,
     creation_operator,
+    dense_choi,
     density_matrix,
     exp_element,
     exp_spectrum,
     fock_basis,
     is_elementary,
     k_particle_projector,
+    mix_symbols,
+    new_channel,
     number_operator,
     oracle_cap,
     parity_operator,
     partial_trace,
     particle_hole_unitary,
+    relative_entropy,
     split_isomorphism,
     validate_symbol,
     wedge_state_product,
@@ -156,13 +163,19 @@ def test_exp_spectrum_examples():
     lam = 0.37 - 0.2j
     got = np.sort_complex(exp_spectrum(np.array([[lam]])))
     assert np.allclose(got, np.sort_complex(np.array([1.0, lam])))
+    # an eigenvalue far below the largest still enters every product
+    got = np.sort(exp_spectrum(np.diag([1e10, 0.1])).real)
+    assert np.allclose(got, [0.1, 1.0, 1e9, 1e10], rtol=1e-15, atol=0.0)
 
 
 def test_exp_spectrum_refuses_a_product_beyond_double_range():
     with pytest.raises(ScaleOutOfRange, match=r"log\|\.\| = 9\.210340e\+02"):
         exp_spectrum(np.diag([1e200, 1e200]))  # the product 1e400 overflows
-    got = exp_spectrum(np.diag([1e150, 1e145]))  # 1e295 is in range
-    assert np.isfinite(got).all() and abs(np.sort(got.real)[-1] / 1e295 - 1.0) < 1e-12
+    for pair, largest in (([1e150, 1e145], 1e295), ([1e200, 1e100], 1e300)):  # in range
+        got = exp_spectrum(np.diag(pair))
+        assert np.isfinite(got).all() and abs(np.sort(got.real)[-1] / largest - 1.0) < 1e-12
+    with pytest.raises(ScaleOutOfRange, match=r"log\|\.\| = 1\.381551e\+03"):
+        exp_spectrum(np.diag([1e300, 1e300, 0.0]))  # a zero eigenvalue adds no log term
 
 
 def test_exp_spectrum_matches_dense(rng):
@@ -466,6 +479,44 @@ def test_oracle_cap_refusal():
         exp_spectrum(np.eye(15))
 
 
+def test_warm_builders_refuse_a_lowered_cap(monkeypatch, rng):
+    # the tables are cached per d, but every builder reaches them through
+    # fock_basis (or the dense Choi reach), which reads the cap on every call
+    d = 5
+    X = rng.standard_normal((d, d))
+    Q = random_symbol(d, rng)
+    vectors = list(random_unitary(d, rng)[:, :2].T)
+    phi = rng.standard_normal(comb(d, 2))
+    rho1, rho2 = density_matrix(random_symbol(2, rng)), density_matrix(random_symbol(3, rng))
+    channel = random_channel(3, rng, "lambda")
+    builders = {
+        "fock_basis": lambda: fock_basis(d),
+        "number_operator": lambda: number_operator(d),
+        "parity_operator": lambda: parity_operator(d),
+        "particle_hole_unitary": lambda: particle_hole_unitary(d),
+        "exp_element": lambda: exp_element(X),
+        "exp_spectrum": lambda: exp_spectrum(X),
+        "density_matrix": lambda: density_matrix(Q),
+        "k_particle_projector": lambda: k_particle_projector(vectors),
+        "creation_operator": lambda: creation_operator(vectors[0]),
+        "is_elementary": lambda: is_elementary(phi, d, 2),
+        "split_isomorphism": lambda: split_isomorphism(2, 3),
+        "wedge_state_product": lambda: wedge_state_product(rho1, rho2),
+        "dense_choi": lambda: dense_choi(channel),
+    }
+    for build in builders.values():
+        build()
+    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "4")  # dense Choi reach 2
+    built = []
+    for name, build in builders.items():
+        try:
+            build()
+        except DimensionCap:
+            continue
+        built.append(name)
+    assert built == []
+
+
 def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "3")
     assert oracle_cap() == 3
@@ -507,6 +558,53 @@ def test_non_finite_input_is_typed(rng, site, value):
 
     with pytest.raises(InvalidArgument, match="non-finite"):
         NON_FINITE_SITES[site](c, bad)
+
+
+HALF = {d: validate_symbol(0.5 * np.eye(d)) for d in (2, 3)}
+CHANNEL = {d: new_channel("lambda", 0.5 * np.eye(d), 0.25 * np.eye(d)) for d in (2, 3)}
+
+REFUSALS = {
+    "apply_heisenberg_exp": (
+        lambda: apply_heisenberg_exp(CHANNEL[2], np.eye(3)), "X shape (3, 3) vs channel dim 2"
+    ),
+    "apply_heisenberg_state": (
+        lambda: apply_heisenberg_state(CHANNEL[2], HALF[3]), "channel dim 2 vs symbol dim 3"
+    ),
+    "compose": (lambda: compose(CHANNEL[2], CHANNEL[3]), "channel dims differ: 3 vs 2"),
+    "stinespring_heisenberg": (
+        lambda: stinespring_heisenberg(CHANNEL[2], np.eye(2)),
+        "operator shape (2, 2), expected (4, 4)",
+    ),
+    "relative_entropy": (lambda: relative_entropy(HALF[2], HALF[3]), "symbol dims differ: 2 vs 3"),
+    "mix_symbols": (lambda: mix_symbols(HALF[2], HALF[3], 0.5), "symbol dims differ: 2 vs 3"),
+    "fock_basis": (lambda: fock_basis(-1), "mode number must be >= 0, got -1"),
+    "k_particle_projector vacuum": (
+        lambda: k_particle_projector([]), "vacuum projector needs an explicit d"
+    ),
+    "k_particle_projector lengths": (
+        lambda: k_particle_projector([[1.0, 0.0], [0.0, 1.0, 0.0]]),
+        "vectors must share the one-particle dimension",
+    ),
+    "is_elementary": (
+        lambda: is_elementary(np.ones(2), 3, 1), "sector-1 vector over 3 modes has length 3, got 2"
+    ),
+    "partial_trace": (
+        lambda: partial_trace(np.eye(4), (2, 3), keep=0),
+        "matrix shape (4, 4) does not match dims (2, 3)",
+    ),
+    "wedge_state_product": (
+        lambda: wedge_state_product(np.eye(3) / 3, np.eye(2) / 2),
+        "operator shape (3, 3) is not 2^d x 2^d",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REFUSALS))
+def test_shape_refusals_are_typed_and_worded(site):
+    call, message = REFUSALS[site]
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_exp_element_of_zero_modes_is_one():

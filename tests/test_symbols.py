@@ -10,12 +10,14 @@ from quasifree import (
     SpectrumOutOfRange,
     conjugate_matrix,
     density_matrix,
+    exp_element,
     mix_symbols,
+    new_channel,
     spectral,
     validate_symbol,
 )
 from quasifree.sampling import random_hermitian, random_symbol, random_unitary
-from quasifree.symbols import MIX_RANK_TOL
+from quasifree.symbols import MIX_RANK_TOL, _operand
 
 
 def test_validate_accepts_scalar_symbol():
@@ -39,6 +41,27 @@ def test_validate_rejects_non_finite_entries(bad):
     for M in ([[bad]], [[0.5, 0.0], [0.0, bad]]):
         with pytest.raises(InvalidArgument, match="non-finite"):
             validate_symbol(M)
+
+
+NON_NUMERIC = {"numeric string": [["0.5"]], "string": [["a"]], "ragged": [[0.5, 0.0], [0.0]],
+               "object": [[{}]]}
+
+
+@pytest.mark.parametrize("entries", sorted(NON_NUMERIC))
+@pytest.mark.parametrize(
+    "site, name",
+    [(validate_symbol, "matrix"), (lambda M: new_channel("lambda", M, M), "A"), (exp_element, "X")],
+    ids=["validate_symbol", "new_channel", "exp_element"],
+)
+def test_non_numeric_operand_is_invalid_argument(site, name, entries):
+    # a string is not read as a number, as the CLI does not read one
+    with pytest.raises(InvalidArgument, match=f"^{name} (is ragged|has entries that are not numbers)"):
+        site(NON_NUMERIC[entries])
+
+
+def test_complex_operand_passes_without_a_copy():
+    M = np.eye(2, dtype=complex)
+    assert _operand(M, "M") is M
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
