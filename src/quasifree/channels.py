@@ -97,7 +97,8 @@ class QuasiFreeChannel:
 @dataclass(frozen=True, eq=False)
 class ScaledExponential:
     """The pair (scale, argument) representing scale * E(argument); the closed
-    form of Heisenberg channel outputs.  Kept unexpanded on purpose."""
+    form of Heisenberg channel outputs and of Choi matrices, each scaled by a
+    determinant.  Kept unexpanded on purpose."""
 
     scale: complex
     argument: np.ndarray
@@ -181,34 +182,37 @@ def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
     return _trusted_symbol((M + M.conj().T) / 2.0, tol=SCHRODINGER_TOL)
 
 
-def checked_inverse(P: np.ndarray, cond_max: float, singular, what: str):
-    """(P^-1, det P) for the pivot P of a closed form: ``singular(cond)`` is
-    raised when cond_2(P) >= cond_max, and :class:`ScaleOutOfRange`, naming
-    ``what`` and giving log|det P|, when det P is not finite or underflows to 0.
+def checked_inverse(P: np.ndarray, cond_max: float, singular: type, what: str):
+    """(P^-1, det P) for the matrix P, named ``what``, whose determinant scales
+    a closed form: the error type ``singular`` is raised when
+    cond_2(P) >= cond_max, and :class:`ScaleOutOfRange`, giving log|det P|,
+    when det P is not finite or underflows to 0.  Both messages name ``what``.
 
     One LU-based inverse screens the condition number: an LU breakdown (an
-    exactly zero pivot) is ``singular(inf)``, and as cond_2 <= d cond_1,
+    exactly zero pivot) is the condition number inf, and as cond_2 <= d cond_1,
     d ||P||_1 ||P^-1||_1 < cond_max / 2 accepts (the factor 2 absorbs the
     rounding of the computed inverse, whose relative error is about
     d u cond_1 << 1 below the limit).  Anything else goes to np.linalg.cond,
     which decides.  det P takes a second LU, as numpy keeps no factorization
     to reuse.
     """
+    cond = np.inf  # an LU breakdown, refused outside the handler so no LinAlgError pins frames
     try:
         Pinv = np.linalg.inv(P)
     except np.linalg.LinAlgError:
-        Pinv = None
-    if Pinv is None:  # raised outside the handler, so no LinAlgError is chained to pin frames
-        raise singular(np.inf)
-    if not P.shape[0] * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0:
-        cond = np.linalg.cond(P)
-        if cond >= cond_max:
-            raise singular(cond)
+        pass
+    else:
+        screened = P.shape[0] * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0
+        cond = 0.0 if screened else np.linalg.cond(P)  # 0.0: the screen proves cond_2 < cond_max
+    if cond >= cond_max:
+        raise singular(
+            f"{what} condition number {cond:.3e} >= {cond_max:.1e}; the closed form does not apply"
+        )
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         det = complex(np.linalg.det(P))
     if not (np.isfinite(det) and det != 0):
         logabsdet = np.linalg.slogdet(P)[1]
-        raise ScaleOutOfRange(f"{what} is outside double range: log|det| = {logabsdet:.6e}")
+        raise ScaleOutOfRange(f"det({what}) is outside double range: log|det| = {logabsdet:.6e}")
     return Pinv, det
 
 
@@ -223,15 +227,7 @@ def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> Scal
         S, T = T.T, S.T
     D = T - S
     pivot = S + D @ B
-    inverse, scale = checked_inverse(
-        pivot,
-        PIVOT_COND_MAX,
-        lambda cond: SingularPivot(
-            f"pivot condition number {cond:.3e} >= {PIVOT_COND_MAX:.1e}; "
-            "the closed form does not apply"
-        ),
-        "Heisenberg scale det(pivot)",
-    )
+    inverse, scale = checked_inverse(pivot, PIVOT_COND_MAX, SingularPivot, "pivot")
     AD = A @ (inverse @ D)
     del inverse  # not kept through the last product, where it would raise the peak by d^2
     argument = np.eye(channel.dim) + AD @ A.conj().T

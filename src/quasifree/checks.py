@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply_heisenberg_exp, apply_heisenberg_state, apply_schrodinger, compose
-from .choi import _choi_action, _choi_blocks, choi_exponential_form, jamiolkowski_symbol
+from .choi import _check_dense_dim, _choi_action, _choi_blocks
+from .choi import choi_exponential_form, jamiolkowski_symbol
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
-from .errors import NotQuasiFreeMixture
+from .errors import InvalidArgument, NotQuasiFreeMixture
 from .fock import _subset_weights, density_matrix, exp_element, exp_spectrum
 from .sampling import random_channel, random_symbol
 from .symbols import mix_symbols, validate_symbol
@@ -59,7 +60,12 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     run the Choi checks on them: their spectra, whose union is C's and,
     scaled by 2^-d, J's, and C's partial trace, the Heisenberg image of the
     identity.  Their symbol sides use the identities density-eigenvalues and
-    exp-spectrum certify, and the dense sides stay the Stinespring oracle."""
+    exp-spectrum certify, and the dense sides stay the Stinespring oracle.
+    d beyond the dense reach, trials < 1 and seed < 0 are refused before the
+    first draw; a failed mixture trial reads inf and leaves later draws as they were."""
+    _check_dense_dim(d)
+    if trials < 1 or seed < 0:
+        raise InvalidArgument(f"oracle checks need trials >= 1, seed >= 0; got {trials}, {seed}")
     rng = np.random.default_rng(seed)
     results = []
     kinds = ("lambda", "gamma")
@@ -122,7 +128,7 @@ def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
             mix = mix_symbols(Q1, Q2, lam)
         except NotQuasiFreeMixture:
             dev_mix = np.inf
-            break
+            continue
         dense = lam * density_matrix(Q1) + (1.0 - lam) * density_matrix(Q2)
         dev_mix = max(dev_mix, float(np.abs(density_matrix(mix) - dense).max()))
     results.append(CheckResult("mixture-rank1-affine", dev_mix, 1e-9))

@@ -43,7 +43,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import KIND_GAMMA, QuasiFreeChannel, _as_lambda, checked_inverse
+from .channels import KIND_GAMMA, QuasiFreeChannel, ScaledExponential, _as_lambda, checked_inverse
 from .errors import (
     DimensionCap,
     DimensionMismatch,
@@ -78,13 +78,8 @@ class JamiolkowskiSymbol:
     symbol: Symbol
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiExponentialForm:
-    """Closed form det(B) * E(argument) of the Choi matrix of the Heisenberg
-    channel; argument is 2d x 2d."""
-
-    scale: float
-    argument: np.ndarray
+#: the closed form det(B) * E(argument) of a Choi matrix, argument 2d x 2d
+ChoiExponentialForm = ScaledExponential
 
 
 def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
@@ -114,8 +109,9 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     return JamiolkowskiSymbol(symbol=_trusted_symbol(J))
 
 
-def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
-    """Closed form of the Choi matrix, defined when B is invertible.
+def choi_exponential_form(channel: QuasiFreeChannel) -> ScaledExponential:
+    """Closed form det(B) * E(argument) of the Choi matrix, defined when B is
+    invertible; det(B) is real, as B is Hermitian.
 
     Argument [[B^-1 - 1, B^-1 At*], [At B^-1, 1 + At B^-1 At*]] for the
     channel lambda(At, B) . theta^twisted; the twist changes the Choi matrix
@@ -126,14 +122,7 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     """
     A, B, _ = _as_lambda(channel)
     d = channel.dim
-    Binv, scale = checked_inverse(
-        B,
-        B_COND_MAX,
-        lambda cond: SingularB(
-            "B is numerically singular; the exponential Choi form does not apply"
-        ),
-        "Choi scale det(B)",
-    )
+    Binv, scale = checked_inverse(B, B_COND_MAX, SingularB, "B")
     Binv = (Binv + Binv.conj().T) / 2.0
     AB = A @ Binv
     argument = np.empty((2 * d, 2 * d), dtype=complex)
@@ -141,7 +130,7 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ChoiExponentialForm:
     argument[:d, d:] = AB.conj().T  # B^-1 A*, as B^-1 is Hermitian
     argument[d:, :d] = AB
     argument[d:, d:] = AB @ A.conj().T + np.eye(d)
-    return ChoiExponentialForm(scale=scale.real, argument=argument)
+    return ScaledExponential(scale=scale.real, argument=argument)
 
 
 def dense_choi_reach() -> int:

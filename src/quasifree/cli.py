@@ -9,9 +9,9 @@ and channels as {"kind": "lambda"|"gamma", "A": <matrix>, "B": <matrix>}.
 Exit codes: 0 success, 1 failed oracle-check invariant, 2 parse error
 (including a file that is not UTF-8 or nests too deeply), 3 invalid
 symbol/channel, inapplicable closed form or a linear-algebra failure (e.g. an
-eigensolver that does not converge), 4 invalid flag value or a dimension out
-of range (including one too large to allocate), 5 complete-positivity
-violation.
+eigensolver that does not converge), 4 a command line argparse refuses, a
+flag value or a dimension out of range (including one too large to allocate),
+5 complete-positivity violation; each refusal is one "error: ..." line.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from .choi import choi_exponential_form, dense_choi_reach, jamiolkowski_symbol
 from .entropy import _check_order, relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import QuasifreeError
 from .fock import exp_spectrum
+from .sampling import random_hermitian
 from .symbols import Symbol, validate_symbol
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 3
-EXIT_BAD_FLAG = 4
 
 #: set to 1 in the environment that ``bench`` times in
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -46,6 +46,19 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 class ParseError(Exception):
     exit_code = 2
+
+
+class BadFlag(Exception):
+    """A command line that argparse refuses or a flag value out of range."""
+
+    exit_code = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's refusals as :class:`BadFlag`; subparsers inherit it."""
+
+    def error(self, message):
+        raise BadFlag(message)
 
 
 def parse_matrix_document(doc) -> np.ndarray:
@@ -62,38 +75,37 @@ def parse_matrix_document(doc) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ParseError(f"data must hold rows*cols = {rows * cols} entries")
     pairs = _numeric_pairs(data)
-    out = _parse_entries(data) if pairs is None else pairs.view(complex)
-    return out.reshape(rows, cols)
+    if pairs is None:
+        _refuse_entries(data)
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def _numeric_pairs(data: list):
     """data as an (n, 2) float array when every entry is a list of two finite
     numbers, else None.
 
-    One numpy conversion certifies the common case; it accepts only what
-    :func:`_parse_entries` accepts, with the same values bit for bit (the
-    pairs are reinterpreted as complex, never summed as re + 1j im, so a
-    -0.0 real part survives).  Everything else goes to that loop, which
-    decides and words the ParseError.
+    One numpy conversion reads every entry as float() reads it, bit for bit
+    (the pairs are reinterpreted as complex, never summed as re + 1j im, so a
+    -0.0 real part survives).  What it declines goes to
+    :func:`_refuse_entries`, which words the ParseError.
     """
     if set(map(type, data)) != {list}:
         return None
-    # a string entry would make np.asarray spell out every number as text
+    # a string entry would make np.asarray read it as a number
     if not set(map(type, chain.from_iterable(data))) <= {int, float, bool}:
         return None
     try:
-        raw = np.asarray(data)
-    except (ValueError, TypeError, OverflowError):  # ragged or nested entries
+        pairs = np.asarray(data, dtype=float)
+    except (ValueError, OverflowError):  # ragged entries, an int beyond double range
         return None
-    if raw.dtype.kind not in "fi" or raw.shape != (len(data), 2):
+    if pairs.shape != (len(data), 2) or not np.isfinite(pairs).all():
         return None
-    pairs = np.ascontiguousarray(raw, dtype=float)
-    return pairs if np.isfinite(pairs).all() else None
+    return pairs
 
 
-def _parse_entries(data: list) -> np.ndarray:
-    """The entries of data as complex numbers, one [re, im] pair at a time."""
-    out = np.empty(len(data), dtype=complex)
+def _refuse_entries(data: list) -> None:
+    """Raise the ParseError of the first entry of data that is not a [re, im]
+    pair of finite numbers; entries that are not JSON numbers are refused."""
     for idx, entry in enumerate(data):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParseError(f"entry {idx} is not a [re, im] pair")
@@ -106,8 +118,7 @@ def _parse_entries(data: list) -> np.ndarray:
             raise ParseError(f"entry {idx} is not a pair of numbers: {exc}") from exc
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"entry {idx} is not finite")
-        out[idx] = complex(re, im)
-    return out
+    raise ParseError("entries must be [re, im] pairs of JSON numbers")
 
 
 def _pairs(M) -> list:
@@ -171,8 +182,7 @@ def cmd_relent(args) -> int:
 
 def cmd_evolve(args) -> int:
     if args.steps < 1:
-        print(f"--steps must be >= 1, got {args.steps}", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        raise BadFlag(f"--steps must be >= 1, got {args.steps}")
     channel = parse_channel_document(_load_json(args.channel))
     sym = _load_symbol(args.state)
     for _ in range(args.steps):
@@ -219,14 +229,11 @@ def cmd_spectrum(args) -> int:
 def cmd_oracle_check(args) -> int:
     reach = dense_choi_reach()
     if not 1 <= args.d <= reach:
-        print(f"oracle-check requires 1 <= d <= {reach}, got {args.d}", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        raise BadFlag(f"oracle-check requires 1 <= d <= {reach}, got {args.d}")
     if args.trials < 1:
-        print(f"--trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        raise BadFlag(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
-        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        raise BadFlag(f"--seed must be >= 0, got {args.seed}")
     results = run_oracle_checks(args.d, args.trials, args.seed)
     print(f"oracle-check d={args.d} trials={args.trials} seed={args.seed}")
     all_pass = True
@@ -241,8 +248,7 @@ def cmd_oracle_check(args) -> int:
 def _bench_instance(d: int, rng: np.random.Generator):
     # interior symbol without an eigendecomposition: Gershgorin keeps the
     # perturbation norm below 0.4 so the spectrum stays inside (0, 1)
-    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    H = (M + M.conj().T) / 2.0
+    H = random_hermitian(d, rng)
     H *= 0.4 / max(1e-300, float(np.abs(H).sum(axis=1).max()))
     Q = validate_symbol(0.5 * np.eye(d) + H)
     # entropy_s times the closed form on a known spectrum: validation may
@@ -274,14 +280,11 @@ def cmd_bench(args) -> int:
     try:
         dims = [int(v) for v in args.dims.split(",") if v]
     except ValueError:
-        print(f"--dims must be a comma-separated list of integers: {args.dims}", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        raise BadFlag(f"--dims must be a comma-separated list of integers: {args.dims}") from None
     if not dims or any(v < 1 for v in dims):
-        print("--dims entries must be positive", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        raise BadFlag("--dims entries must be positive")
     if args.seed < 0:
-        print(f"--seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        raise BadFlag(f"--seed must be >= 0, got {args.seed}")
     if any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS):
         return _bench_pinned(dims, args.seed)
 
@@ -301,7 +304,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasifree",
         description="Quasi-free fermionic states and channels at symbol level, "
         "with a dense oracle cross-check.",
@@ -355,11 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, QuasifreeError) as exc:  # each error type carries its exit code
+    except (ParseError, BadFlag, QuasifreeError) as exc:  # each error type carries its exit code
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except np.linalg.LinAlgError as exc:
@@ -367,7 +369,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except MemoryError as exc:  # a dimension too large for this machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAG
+        return BadFlag.exit_code
 
 
 def run() -> None:

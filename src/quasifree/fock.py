@@ -243,8 +243,9 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
         if not vecs:
             raise DimensionMismatch("vacuum projector needs an explicit d")
         d = vecs[0].shape[0]
-    if any(v.shape[0] != d for v in vecs):
-        raise DimensionMismatch("vectors must share the one-particle dimension")
+    lengths = [len(v) for v in vecs]
+    if any(n != d for n in lengths):
+        raise DimensionMismatch(f"vectors must have length d={d}, got lengths {lengths}")
     V = np.stack(vecs, axis=1) if vecs else np.zeros((d, 0))
     k = V.shape[1]
     gram_dev = np.abs(V.conj().T @ V - np.eye(k)).max(initial=0.0)
@@ -362,8 +363,8 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     rho1 = _operand(rho1, "rho1", nonempty=True)
     rho2 = _operand(rho2, "rho2", nonempty=True)
     d1, d2 = _modes_of(rho1), _modes_of(rho2)
-    theta = parity_operator(d1)
-    dev = np.abs(rho1 @ theta - theta @ rho1).max()
+    parity = _subset_products(d1, -1.0, 1.0)
+    dev = np.abs(rho1 * (parity - parity[:, None])).max()  # [rho1, parity], exact
     if dev > EVEN_STATE_TOL:
         raise NotEvenState(f"max |[rho1, parity]| = {dev:.3e}")
     t = _split_permutation(d1, d2)

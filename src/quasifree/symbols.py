@@ -228,7 +228,7 @@ def conjugate_matrix(A) -> np.ndarray:
     This is the matrix of the conjugated operator; for Hermitian input it
     coincides with the transpose.  Applying it twice is the identity.
     """
-    return np.conj(np.asarray(A, dtype=complex))
+    return np.conj(_operand(A, "A"))
 
 
 def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:

@@ -8,7 +8,9 @@ import pytest
 from quasifree import (
     DimensionCap,
     InconsistentB,
+    InvalidArgument,
     NotCompletelyPositive,
+    NotQuasiFreeMixture,
     QuasiFreeChannel,
     QuasifreeError,
     ScaleOutOfRange,
@@ -559,3 +561,35 @@ def test_oracle_checks_reach_channels_and_choi_at_six():
     results = run_oracle_checks(6, 1, seed=11)
     assert len(results) == 18 and channel | choi <= {r.name for r in results}
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+@pytest.mark.parametrize(
+    "d, trials, seed, error",
+    [(7, 1, 0, DimensionCap), (2, 0, 0, InvalidArgument), (3, -2, 0, InvalidArgument),
+     (2, 1, -1, InvalidArgument)],
+)
+def test_oracle_checks_refuse_before_the_first_draw(monkeypatch, d, trials, seed, error):
+    # no trial ran would pass every check vacuously; d = 7 would fail after
+    # its state checks; seed -1 would be numpy's bare ValueError
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle checks drew before refusing")
+
+    monkeypatch.setattr(quasifree.checks, "random_symbol", refuse)
+    with pytest.raises(error):
+        run_oracle_checks(d, trials, seed)
+
+
+def test_failed_mixture_check_reads_inf_and_moves_no_other(monkeypatch):
+    expect = run_oracle_checks(2, 3, seed=1)
+
+    def not_quasi_free(*args):
+        raise NotQuasiFreeMixture("refused")
+
+    monkeypatch.setattr(quasifree.checks, "mix_symbols", not_quasi_free)
+    results = run_oracle_checks(2, 3, seed=1)
+    assert [r.name for r in results] == [r.name for r in expect]
+    for r, e in zip(results, expect):
+        if r.name == "mixture-rank1-affine":
+            assert r.max_dev == np.inf and not r.passed
+        else:
+            assert r == e

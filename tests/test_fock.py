@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 from math import comb
 
@@ -13,8 +14,10 @@ from quasifree import (
     NotOrthonormal,
     ScaleOutOfRange,
     ZeroVector,
+    annihilation_operator,
     apply_heisenberg_state,
     compose,
+    conjugate_matrix,
     creation_operator,
     dense_choi,
     density_matrix,
@@ -72,6 +75,15 @@ def test_car_anticommutators():
             cc = creation_operator(basis_vector(d, i)) @ adag
             cc += adag @ creation_operator(basis_vector(d, i))
             assert np.abs(cc).max() < 1e-12
+
+
+def test_annihilation_car_with_creation():
+    # {a(phi), a*(psi)} = <phi, psi> 1, a(phi) antilinear in phi
+    rng = np.random.default_rng(3)
+    phi, psi = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    a, adag = annihilation_operator(phi), creation_operator(psi)
+    assert np.abs(a @ adag + adag @ a - np.vdot(phi, psi) * np.eye(8)).max() < 1e-12
+    assert np.abs(annihilation_operator(1j * phi) + 1j * a).max() < 1e-15
 
 
 def test_number_operator_diagonal():
@@ -443,6 +455,16 @@ def test_wedge_state_product_rejects_odd_first_factor():
         wedge_state_product(odd, np.eye(2) / 2)
 
 
+def test_evenness_deviation_is_the_dense_commutator(rng):
+    # read off the parity diagonal, the deviation is max |[rho1, parity]| bit for bit
+    for d in (1, 2, 3):
+        rho = random_density(2**d, rng)
+        theta = parity_operator(d)
+        dev = np.abs(rho @ theta - theta @ rho).max()
+        with pytest.raises(NotEvenState, match=re.escape(f"max |[rho1, parity]| = {dev:.3e}")):
+            wedge_state_product(rho, np.eye(2) / 2)
+
+
 def test_particle_hole_unitary():
     for d in range(1, 9):
         W = particle_hole_unitary(d)
@@ -531,6 +553,7 @@ def test_oracle_cap_env_override(monkeypatch):
 
 
 NON_FINITE_SITES = {
+    "conjugate_matrix": lambda c, bad: conjugate_matrix(bad((2, 2))),
     "exp_element": lambda c, bad: exp_element(bad((2, 2))),
     "exp_spectrum": lambda c, bad: exp_spectrum(bad((2, 2))),
     "creation_operator": lambda c, bad: creation_operator(bad(2)),
@@ -583,7 +606,11 @@ REFUSALS = {
     ),
     "k_particle_projector lengths": (
         lambda: k_particle_projector([[1.0, 0.0], [0.0, 1.0, 0.0]]),
-        "vectors must share the one-particle dimension",
+        "vectors must have length d=2, got lengths [2, 3]",
+    ),
+    "k_particle_projector d": (
+        lambda: k_particle_projector([[1.0, 0.0]], d=3),
+        "vectors must have length d=3, got lengths [2]",
     ),
     "is_elementary": (
         lambda: is_elementary(np.ones(2), 3, 1), "sector-1 vector over 3 modes has length 3, got 2"

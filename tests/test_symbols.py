@@ -50,8 +50,9 @@ NON_NUMERIC = {"numeric string": [["0.5"]], "string": [["a"]], "ragged": [[0.5, 
 @pytest.mark.parametrize("entries", sorted(NON_NUMERIC))
 @pytest.mark.parametrize(
     "site, name",
-    [(validate_symbol, "matrix"), (lambda M: new_channel("lambda", M, M), "A"), (exp_element, "X")],
-    ids=["validate_symbol", "new_channel", "exp_element"],
+    [(validate_symbol, "matrix"), (lambda M: new_channel("lambda", M, M), "A"), (exp_element, "X"),
+     (conjugate_matrix, "A")],
+    ids=["validate_symbol", "new_channel", "exp_element", "conjugate_matrix"],
 )
 def test_non_numeric_operand_is_invalid_argument(site, name, entries):
     # a string is not read as a number, as the CLI does not read one
