@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import QuasiFreeChannel, apply_schrodinger, new_channel
 from .checks import run_oracle_checks
-from .choi import choi_exponential_form, dense_choi_reach, jamiolkowski_symbol
+from .choi import DENSE_CHOI_CAP, choi_exponential_form, jamiolkowski_symbol
 from .entropy import _check_order, relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import QuasifreeError
 from .fock import exp_spectrum
@@ -227,9 +227,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    reach = dense_choi_reach()
-    if not 1 <= args.d <= reach:
-        raise BadFlag(f"oracle-check requires 1 <= d <= {reach}, got {args.d}")
+    if not 1 <= args.d <= DENSE_CHOI_CAP:
+        raise BadFlag(f"oracle-check requires 1 <= d <= {DENSE_CHOI_CAP}, got {args.d}")
     if args.trials < 1:
         raise BadFlag(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:

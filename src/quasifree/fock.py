@@ -19,7 +19,9 @@ also carries each subset as a bitmask (bit j set iff mode j is occupied),
 ``masks[i]``, the inverse lookup ``position[mask]`` and the tables of
 :class:`FockBasis`, so that basis permutations, signs and minors are array
 expressions rather than loops over subsets.  Every builder reaches them
-through :func:`fock_basis`, the one place that refuses a d above the cap.
+through :func:`fock_basis`, the one place that refuses d above
+``HARD_ORACLE_CAP``: every builder peaks at 1 to 1.25 dense 2^d x 2^d
+complex matrices, so the cap on d is a cap on bytes.
 
 Each builder costs what its nonzero structure costs.  E(X) is block diagonal
 by particle number, and its sector-k block is computed from the sector-(k-1)
@@ -30,7 +32,6 @@ permutation, applied as an index.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain, combinations
@@ -49,7 +50,8 @@ from .errors import (
 )
 from .symbols import Symbol, _operand, spectral
 
-#: absolute ceiling on the one-particle dimension of any dense construction
+#: ceiling on the mode number of any dense construction: one 2^d x 2^d
+#: complex matrix is 4.3 GB at d = 14 and 17.2 GB at d = 15
 HARD_ORACLE_CAP = 14
 
 #: numerical kernel threshold for elementary-vector detection
@@ -57,20 +59,6 @@ ELEMENTARY_KERNEL_TOL = 1e-9
 
 EVEN_STATE_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-10
-
-
-def oracle_cap() -> int:
-    """Current dense-oracle cap: QUASIFREE_MAX_ORACLE_D, hard-capped at 14."""
-    raw = os.environ.get("QUASIFREE_MAX_ORACLE_D")
-    if raw is None:
-        return HARD_ORACLE_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise DimensionCap(f"QUASIFREE_MAX_ORACLE_D must be a positive integer, got {raw!r}")
-    return min(value, HARD_ORACLE_CAP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +91,15 @@ class FockBasis:
 
 
 def fock_basis(d: int) -> FockBasis:
-    """The basis of d modes, refused above :func:`oracle_cap` before it is
+    """The basis of d modes, refused above ``HARD_ORACLE_CAP`` before it is
     built: the one entry to the cached basis and its tables."""
     if d < 0:
         raise DimensionMismatch(f"mode number must be >= 0, got {d}")
-    cap = oracle_cap()
-    if d > cap:
+    if d > HARD_ORACLE_CAP:
+        gigabytes = 16 * 4.0**d / 1e9 if d < 500 else np.inf  # beyond double range
         raise DimensionCap(
-            f"dense oracle refuses d={d} modes (cap {cap}; 2^{d} basis states)"
+            f"dense oracle refuses d={d} modes (cap {HARD_ORACLE_CAP}): one 2^{d} x 2^{d} "
+            f"complex matrix is {gigabytes:.1f} GB"
         )
     return _fock_basis(d)
 
@@ -139,7 +128,7 @@ def creation_operator(phi) -> np.ndarray:
 
     Its adjoint is the annihilation operator (antilinear in the argument).
     """
-    phi = _operand(np.ravel(phi), "phi", ndim=1)
+    phi = _operand(phi, "phi", ndim=1)
     d = phi.shape[0]
     basis = fock_basis(d)
     occ = basis.occupation
@@ -238,11 +227,12 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
     The sector-k coordinates of v_1 ^ ... ^ v_k are the k x k minors
     det V[K, :] of the d x k matrix V of the vectors, the last block of
     :func:`_exp_blocks` (V); for k = 0 that block is the vacuum entry 1."""
-    vecs = [_operand(np.ravel(v), "vectors", ndim=1) for v in vectors]
+    vecs = [_operand(v, "vectors", ndim=1) for v in vectors]
     if d is None:
         if not vecs:
             raise DimensionMismatch("vacuum projector needs an explicit d")
         d = vecs[0].shape[0]
+    basis = fock_basis(d)  # refuses d < 0 and d above the cap before allocating
     lengths = [len(v) for v in vecs]
     if any(n != d for n in lengths):
         raise DimensionMismatch(f"vectors must have length d={d}, got lengths {lengths}")
@@ -252,8 +242,8 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
     if gram_dev > ORTHONORMAL_TOL:
         raise NotOrthonormal(f"max |V*V - 1| = {gram_dev:.3e}")
     *_, wedge = _exp_blocks(V)
-    psi = np.zeros(1 << d, dtype=complex)
-    psi[fock_basis(d).sector(k)] = wedge[:, 0]
+    psi = np.zeros(basis.size, dtype=complex)
+    psi[basis.sector(k)] = wedge[:, 0]
     return np.outer(psi, psi.conj())
 
 
@@ -295,7 +285,7 @@ def is_elementary(phi, d: int, k: int) -> bool:
     vectors, decided by the dimension of {chi : chi ^ phi = 0} being k."""
     if d < 0 or k < 0:
         raise InvalidArgument(f"mode number and sector must be >= 0, got d={d}, k={k}")
-    phi = _operand(np.ravel(phi), "phi", ndim=1)
+    phi = _operand(phi, "phi", ndim=1)
     if phi.shape[0] != comb(d, k):
         raise DimensionMismatch(
             f"sector-{k} vector over {d} modes has length {comb(d, k)}, got {phi.shape[0]}"
@@ -401,6 +391,8 @@ def partial_trace(M: np.ndarray, dims: tuple, keep: int) -> np.ndarray:
     that survives (0 or 1).
     """
     M = _operand(M, "matrix")
+    if np.shape(dims) != (2,) or not all(isinstance(n, (int, np.integer)) and n > 0 for n in dims):
+        raise DimensionMismatch(f"dims must be two positive integers, got {dims!r}")
     D1, D2 = dims
     if M.shape != (D1 * D2, D1 * D2):
         raise DimensionMismatch(f"matrix shape {M.shape} does not match dims {dims}")

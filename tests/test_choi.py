@@ -33,6 +33,7 @@ from quasifree import (
     validate_symbol,
 )
 from quasifree.channels import _as_lambda, cp_bound
+import quasifree.channels
 import quasifree.checks
 import quasifree.choi
 from quasifree.checks import run_oracle_checks
@@ -235,18 +236,10 @@ def test_charge_block_cover_refuses_a_table_that_misses_an_entry(rng, kind):
 
 
 def test_dense_choi_dimension_cap():
-    with pytest.raises(DimensionCap):
+    with pytest.raises(DimensionCap, match=r"d=7: .* 2d=14 modes, and they reach d=6"):
         dense_choi(identity_channel(7))
-
-
-def test_dense_choi_reach_follows_a_lowered_oracle_cap(monkeypatch, rng):
-    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "6")
-    c = random_channel(4, rng, "gamma")
-    with pytest.raises(DimensionCap, match=r"d=4: .* 2d=8 modes, and they reach d=3"):
-        dense_choi(c)
-    with pytest.raises(DimensionCap, match="d=4"):
-        stinespring_heisenberg(c, np.eye(16))
-    assert dense_choi(random_channel(3, rng, "lambda")).shape == (64, 64)
+    with pytest.raises(DimensionCap, match="d=7"):
+        stinespring_heisenberg(identity_channel(7), np.eye(128))
 
 
 def test_stinespring_identity_and_replacer(rng):
@@ -566,11 +559,12 @@ def test_oracle_checks_reach_channels_and_choi_at_six():
 @pytest.mark.parametrize(
     "d, trials, seed, error",
     [(7, 1, 0, DimensionCap), (2, 0, 0, InvalidArgument), (3, -2, 0, InvalidArgument),
-     (2, 1, -1, InvalidArgument)],
+     (2, 1, -1, InvalidArgument), (0, 1, 0, InvalidArgument), (-1, 1, 0, InvalidArgument)],
 )
 def test_oracle_checks_refuse_before_the_first_draw(monkeypatch, d, trials, seed, error):
     # no trial ran would pass every check vacuously; d = 7 would fail after
-    # its state checks; seed -1 would be numpy's bare ValueError
+    # its state checks; seed -1 would be numpy's bare ValueError; d = 0 and
+    # d = -1 would fail on an internal operand
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle checks drew before refusing")
 
@@ -593,3 +587,29 @@ def test_failed_mixture_check_reads_inf_and_moves_no_other(monkeypatch):
             assert r.max_dev == np.inf and not r.passed
         else:
             assert r == e
+
+
+def test_every_suite_row_is_a_deviation_its_first_trial_reports():
+    # a row that no trial reports would read 0.0 and pass unseen
+    for trial, rows in quasifree.checks.SUITE:
+        assert set(trial(2, np.random.default_rng(0), 0, 1)) == {name for name, _ in rows}
+
+
+def _nan_scale(c, X):
+    return dataclasses.replace(quasifree.channels.apply_heisenberg_exp(c, X), scale=np.nan)
+
+
+@pytest.mark.parametrize(
+    "site, patched, row",
+    [("von_neumann_entropy", lambda Q: np.nan, "von-neumann-vs-dense"),
+     ("apply_heisenberg_exp", _nan_scale, "channel-duality")],
+)
+def test_a_nan_deviation_fails_its_check(monkeypatch, site, patched, row):
+    # max(0.0, nan) is 0.0: an accumulator written that way passes a NaN
+    expect = {r.name: r for r in run_oracle_checks(3, 4, seed=0)}
+    monkeypatch.setattr(quasifree.checks, site, patched)
+    results = {r.name: r for r in run_oracle_checks(3, 4, seed=0)}
+    assert np.isnan(results[row].max_dev) and not results[row].passed
+    assert [r for name, r in results.items() if name != row] == [
+        r for name, r in expect.items() if name != row
+    ]

@@ -1,11 +1,14 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import quasifree.checks
+import quasifree.choi
 import quasifree.cli
 from quasifree import (
     DimensionCap,
@@ -14,6 +17,7 @@ from quasifree import (
     QuasifreeError,
     errors,
     exp_spectrum,
+    number_operator,
 )
 from quasifree.cli import (
     _BLAS_THREAD_VARS,
@@ -421,8 +425,8 @@ def test_oracle_check_cli(capsys):
 
 
 def test_oracle_check_refuses_beyond_a_lowered_cap_before_any_work(monkeypatch, capsys):
-    # the Choi constructions at d read tables on 2d modes: a cap of 6 reaches d = 3
-    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "6")
+    monkeypatch.setattr(quasifree.choi, "DENSE_CHOI_CAP", 3)
+    monkeypatch.setattr(quasifree.cli, "DENSE_CHOI_CAP", 3)
     assert main(["oracle-check", "--d", "3", "--trials", "2"]) == 0
     assert "all checks passed" in capsys.readouterr().out
 
@@ -434,6 +438,21 @@ def test_oracle_check_refuses_beyond_a_lowered_cap_before_any_work(monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: oracle-check requires 1 <= d <= 3, got 4\n"
+
+
+def test_oracle_check_fails_on_a_nan_deviation(monkeypatch, capsys):
+    monkeypatch.setattr(quasifree.checks, "von_neumann_entropy", lambda Q: np.nan)
+    assert main(["oracle-check", "--d", "2", "--trials", "2"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"von-neumann-vs-dense +max-dev +nan .* FAIL", out)
+    assert out.endswith("FAILED\n")
+
+
+def test_the_dense_caps_read_no_environment(monkeypatch, capsys):
+    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "3")
+    assert number_operator(4).shape == (16, 16)
+    assert main(["oracle-check", "--d", "7"]) == 4
+    assert capsys.readouterr().err == "error: oracle-check requires 1 <= d <= 6, got 7\n"
 
 
 @pytest.mark.parametrize("argv", [["oracle-check", "--d", "2"], ["bench", "--dims", "5"]])

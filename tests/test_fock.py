@@ -29,7 +29,6 @@ from quasifree import (
     mix_symbols,
     new_channel,
     number_operator,
-    oracle_cap,
     parity_operator,
     partial_trace,
     particle_hole_unitary,
@@ -38,6 +37,8 @@ from quasifree import (
     validate_symbol,
     wedge_state_product,
 )
+import quasifree.choi
+import quasifree.fock
 from quasifree.fock import HARD_ORACLE_CAP, _subset_weights, _wedge_map
 from quasifree.channels import apply_heisenberg_exp
 from quasifree.choi import stinespring_heisenberg, stinespring_schrodinger
@@ -491,8 +492,11 @@ def test_complement_reverses_basis_order():
 
 
 def test_oracle_cap_refusal():
-    with pytest.raises(DimensionCap):
-        fock_basis(HARD_ORACLE_CAP + 1)  # refused before its 2^15 masks are built
+    # refused before its 2^15 masks are built, naming the bytes of one operator
+    with pytest.raises(DimensionCap, match=r"d=15 modes \(cap 14\).* is 17\.2 GB"):
+        fock_basis(HARD_ORACLE_CAP + 1)
+    with pytest.raises(DimensionCap, match="inf GB"):
+        fock_basis(600)  # beyond double range, still the typed refusal
     with pytest.raises(DimensionCap):
         exp_element(np.eye(15))
     with pytest.raises(DimensionCap):
@@ -503,7 +507,7 @@ def test_oracle_cap_refusal():
 
 def test_warm_builders_refuse_a_lowered_cap(monkeypatch, rng):
     # the tables are cached per d, but every builder reaches them through
-    # fock_basis (or the dense Choi reach), which reads the cap on every call
+    # fock_basis (or the dense Choi gate), which reads its cap on every call
     d = 5
     X = rng.standard_normal((d, d))
     Q = random_symbol(d, rng)
@@ -528,7 +532,8 @@ def test_warm_builders_refuse_a_lowered_cap(monkeypatch, rng):
     }
     for build in builders.values():
         build()
-    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "4")  # dense Choi reach 2
+    monkeypatch.setattr(quasifree.fock, "HARD_ORACLE_CAP", 4)
+    monkeypatch.setattr(quasifree.choi, "DENSE_CHOI_CAP", 2)
     built = []
     for name, build in builders.items():
         try:
@@ -537,19 +542,6 @@ def test_warm_builders_refuse_a_lowered_cap(monkeypatch, rng):
             continue
         built.append(name)
     assert built == []
-
-
-def test_oracle_cap_env_override(monkeypatch):
-    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "3")
-    assert oracle_cap() == 3
-    with pytest.raises(DimensionCap):
-        number_operator(4)
-    monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "99")
-    assert oracle_cap() == 14  # hard cap wins
-    for bad in ("nonsense", "0", "-3"):  # none is silently replaced
-        monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", bad)
-        with pytest.raises(DimensionCap, match=f"QUASIFREE_MAX_ORACLE_D .*{bad}"):
-            oracle_cap()
 
 
 NON_FINITE_SITES = {
@@ -601,6 +593,12 @@ REFUSALS = {
     "relative_entropy": (lambda: relative_entropy(HALF[2], HALF[3]), "symbol dims differ: 2 vs 3"),
     "mix_symbols": (lambda: mix_symbols(HALF[2], HALF[3], 0.5), "symbol dims differ: 2 vs 3"),
     "fock_basis": (lambda: fock_basis(-1), "mode number must be >= 0, got -1"),
+    "k_particle_projector negative d": (
+        lambda: k_particle_projector([], d=-1), "mode number must be >= 0, got -1"
+    ),
+    "creation_operator matrix": (
+        lambda: creation_operator(np.eye(2)), "expected a one-dimensional phi, got shape (2, 2)"
+    ),
     "k_particle_projector vacuum": (
         lambda: k_particle_projector([]), "vacuum projector needs an explicit d"
     ),
@@ -618,6 +616,14 @@ REFUSALS = {
     "partial_trace": (
         lambda: partial_trace(np.eye(4), (2, 3), keep=0),
         "matrix shape (4, 4) does not match dims (2, 3)",
+    ),
+    "is_elementary column": (
+        lambda: is_elementary(np.ones((3, 1)), 3, 1),
+        "expected a one-dimensional phi, got shape (3, 1)",
+    ),
+    "partial_trace negative dims": (
+        lambda: partial_trace(np.eye(4), (-2, -2), keep=0),
+        "dims must be two positive integers, got (-2, -2)",
     ),
     "wedge_state_product": (
         lambda: wedge_state_product(np.eye(3) / 3, np.eye(2) / 2),
