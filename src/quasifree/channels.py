@@ -5,7 +5,8 @@ Two families, both parameterized by a pair (A, B) of one-particle matrices:
 * ``lambda`` kind, valid iff 0 <= B <= 1 - A*A: lambda(A, B)(Q) = A* Q A + B;
 * ``gamma`` kind, the lambda kind twisted by particle-hole, theta(Q) = 1 - Q^T:
   gamma(A, B) = lambda(conj A, B) . theta = theta . lambda(A, 1 - B^T - A*A),
-  valid iff 0 <= B <= 1 - A^T conj(A).
+  valid iff 0 <= B <= 1 - A^T conj(A): the twist exchanges B with the
+  transposed CP slack, which is why it maps CP channels to CP channels.
 
 Every closed form below is written once, for lambda(At, B) . theta^twisted:
 :func:`_as_lambda` reads a channel that way (At = conj A for gamma) and
@@ -54,11 +55,11 @@ class QuasiFreeChannel:
     The constructor, however it is reached (:func:`new_channel`,
     :func:`compose`, ``dataclasses.replace``, a direct call), checks the kind,
     reads A and B through the operand gate and proves B Hermitian and
-    0 <= B <= :func:`cp_bound` at ``CP_TOL``: each inequality is first tried
-    by a Cholesky certificate (:func:`_certified_psd`), which accepts only
-    what the eigenvalue test accepts, and otherwise the eigenvalue test
-    decides and words the error.  A and B are kept as read-only copies, so
-    the symbols a channel produces are symbols by theorem.
+    0 <= B <= :func:`cp_bound` at ``CP_TOL``: B and the slack cp_bound - B are
+    each tried by a Cholesky certificate (:func:`_certified_psd`), which
+    accepts only what the eigenvalue test accepts, and otherwise that test
+    decides and words the error; a slack beyond double range is refused.  A
+    and B are kept as read-only copies, so its images are symbols by theorem.
     """
 
     kind: str
@@ -68,22 +69,23 @@ class QuasiFreeChannel:
     def __post_init__(self):
         _check_kind(self.kind)
         A, B = _square_pair(self.A, self.B)
-        herm_dev = np.abs(B - B.conj().T).max()
-        if herm_dev > CP_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            herm_dev = np.abs(B - B.conj().T).max()
+            B = (B + B.conj().T) / 2.0
+            slack = _cp_bound(self.kind, A) - B
+            slack = (slack + slack.conj().T) / 2.0  # _certified_psd takes it exactly Hermitian
+        if not herm_dev <= CP_TOL:
             raise NotCompletelyPositive(f"B must be Hermitian; max |B - B*| = {herm_dev:.3e}")
-        B = (B + B.conj().T) / 2.0
-        if not _certified_psd(B, CP_TOL):
-            low = float(np.linalg.eigvalsh(B)[0])
-            if low < -CP_TOL:
-                raise NotCompletelyPositive(f"B has eigenvalue {low:.6e} < 0")
-        upper = _cp_bound(self.kind, A) - B
-        upper = (upper + upper.conj().T) / 2.0  # _certified_psd takes it exactly Hermitian
-        if not _certified_psd(upper, CP_TOL):
-            high = float(np.linalg.eigvalsh(upper)[0])
-            if high < -CP_TOL:
-                raise NotCompletelyPositive(
-                    f"upper CP constraint violated by eigenvalue {high:.6e}"
-                )
+        if not np.isfinite(slack).all():  # also when B is, as slack = cp_bound - B
+            raise NotCompletelyPositive("B or its CP slack cp_bound - B overflows double range")
+        for M, refusal in (
+            (B, "B has eigenvalue {:.6e} < 0"),
+            (slack, "upper CP constraint violated by eigenvalue {:.6e}"),
+        ):
+            if not _certified_psd(M, CP_TOL):
+                low = float(np.linalg.eigvalsh(M)[0])
+                if not low >= -CP_TOL:
+                    raise NotCompletelyPositive(refusal.format(low))
         A = A.copy()  # freeze private copies, never the caller's arrays
         for name, m in (("A", A), ("B", B)):
             m.setflags(write=False)
@@ -135,9 +137,8 @@ def _as_lambda(channel: QuasiFreeChannel):
 
 
 def _twist_past(At: np.ndarray, B: np.ndarray):
-    """The pair of theta . lambda(At, B) = lambda(conj At, 1 - B^T - At^T conj At) . theta"""
-    Ac = np.conj(At)
-    return Ac, np.eye(At.shape[0]) - B.T - At.T @ Ac
+    """theta . lambda(At, B) = lambda(conj At, S^T) . theta for the CP slack S = 1 - At*At - B"""
+    return np.conj(At), (_cp_bound(KIND_LAMBDA, At) - B).T
 
 
 def _check_kind(kind: str) -> None:

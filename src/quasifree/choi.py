@@ -170,7 +170,7 @@ def _environment_symbol(
     pseudo-inverse; :class:`InconsistentB` when no Q' in [0, 1] does it."""
     Qp = pinv_root @ B @ pinv_root
     Qp = (Qp + Qp.conj().T) / 2.0
-    if np.abs(root @ Qp @ root - B).max() > ENV_SYMBOL_TOL:
+    if not np.abs(root @ Qp @ root - B).max() <= ENV_SYMBOL_TOL:
         raise InconsistentB(
             "no environment symbol in [0, 1] reproduces B through sqrt(1-A*A)"
         )

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import QuasiFreeChannel, apply_schrodinger, new_channel
+from .channels import QuasiFreeChannel, apply_schrodinger, cp_bound, new_channel
 from .checks import run_oracle_checks
 from .choi import DENSE_CHOI_CAP, choi_exponential_form, jamiolkowski_symbol
 from .entropy import _check_order, relative_entropy, renyi_entropy, von_neumann_entropy
@@ -256,7 +256,7 @@ def _bench_instance(d: int, rng: np.random.Generator):
     # entries of variance 1/(8d) put ||A||_2 near 1/sqrt(2), well inside the
     # unit ball, so B = (1 - A*A)/2 is positive
     A = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / (4.0 * np.sqrt(d))
-    B = 0.5 * (np.eye(d) - A.conj().T @ A)
+    B = 0.5 * cp_bound("lambda", A)
     return Q, new_channel("lambda", A, B)
 
 

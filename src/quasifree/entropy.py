@@ -76,20 +76,13 @@ def relative_entropy(Q1: Symbol, Q2: Symbol) -> float:
 
     lower = w2 <= KERNEL_TOL
     upper = 1.0 - w2 <= KERNEL_TOL
-    if np.any(lower):
-        overlap = np.linalg.norm(M1V2[:, lower], axis=0)
-        if overlap.max() > KERNEL_INCLUSION_TOL:
-            raise KernelConditionViolated(
-                f"ker Q2 not contained in ker Q1 (||Q1 v|| = {overlap.max():.3e}); "
-                "relative entropy is infinite"
-            )
-    if np.any(upper):
-        overlap = np.linalg.norm(V2[:, upper] - M1V2[:, upper], axis=0)
-        if overlap.max() > KERNEL_INCLUSION_TOL:
-            raise KernelConditionViolated(
-                f"ker(1-Q2) not contained in ker(1-Q1) "
-                f"(||(1-Q1) v|| = {overlap.max():.3e}); relative entropy is infinite"
-            )
+    for image, text in (
+        (M1V2[:, lower], "ker Q2 not contained in ker Q1 (||Q1 v||"),
+        (V2[:, upper] - M1V2[:, upper], "ker(1-Q2) not contained in ker(1-Q1) (||(1-Q1) v||"),
+    ):
+        overlap = np.linalg.norm(image, axis=0).max(initial=0.0)
+        if not overlap <= KERNEL_INCLUSION_TOL:
+            raise KernelConditionViolated(f"{text} = {overlap:.3e}); relative entropy is infinite")
 
     own = -np.sum(_binary_entropy(Q1.eigenvalues))
     cross = np.sum(diag_q1[~lower] * np.log(w2[~lower]))

@@ -239,7 +239,7 @@ def k_particle_projector(vectors, d: int | None = None) -> np.ndarray:
     V = np.stack(vecs, axis=1) if vecs else np.zeros((d, 0))
     k = V.shape[1]
     gram_dev = np.abs(V.conj().T @ V - np.eye(k)).max(initial=0.0)
-    if gram_dev > ORTHONORMAL_TOL:
+    if not gram_dev <= ORTHONORMAL_TOL:
         raise NotOrthonormal(f"max |V*V - 1| = {gram_dev:.3e}")
     *_, wedge = _exp_blocks(V)
     psi = np.zeros(basis.size, dtype=complex)
@@ -283,8 +283,9 @@ def density_matrix(Q: Symbol) -> np.ndarray:
 def is_elementary(phi, d: int, k: int) -> bool:
     """True iff the sector-k vector phi is a single wedge of k one-particle
     vectors, decided by the dimension of {chi : chi ^ phi = 0} being k."""
-    if d < 0 or k < 0:
-        raise InvalidArgument(f"mode number and sector must be >= 0, got d={d}, k={k}")
+    fock_basis(d)  # refuses d < 0 and d above the cap, as for every builder
+    if k < 0:
+        raise InvalidArgument(f"sector must be >= 0, got {k}")
     phi = _operand(phi, "phi", ndim=1)
     if phi.shape[0] != comb(d, k):
         raise DimensionMismatch(
@@ -355,7 +356,7 @@ def wedge_state_product(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     d1, d2 = _modes_of(rho1), _modes_of(rho2)
     parity = _subset_products(d1, -1.0, 1.0)
     dev = np.abs(rho1 * (parity - parity[:, None])).max()  # [rho1, parity], exact
-    if dev > EVEN_STATE_TOL:
+    if not dev <= EVEN_STATE_TOL:
         raise NotEvenState(f"max |[rho1, parity]| = {dev:.3e}")
     t = _split_permutation(d1, d2)
     return np.kron(rho1, rho2)[np.ix_(t, t)]  # U* (rho1 (x) rho2) U
@@ -391,7 +392,9 @@ def partial_trace(M: np.ndarray, dims: tuple, keep: int) -> np.ndarray:
     that survives (0 or 1).
     """
     M = _operand(M, "matrix")
-    if np.shape(dims) != (2,) or not all(isinstance(n, (int, np.integer)) and n > 0 for n in dims):
+    if np.shape(dims) != (2,) or not all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in dims
+    ):
         raise DimensionMismatch(f"dims must be two positive integers, got {dims!r}")
     D1, D2 = dims
     if M.shape != (D1 * D2, D1 * D2):

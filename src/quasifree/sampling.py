@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import QuasiFreeChannel, cp_bound, new_channel
+from .channels import KIND_GAMMA, QuasiFreeChannel, new_channel
 from .symbols import Symbol, validate_symbol
 
 
@@ -42,18 +42,17 @@ def random_channel(
 ) -> QuasiFreeChannel:
     """Random valid channel of the given kind.
 
-    A is a random contraction with singular values in ``contraction``; B is
-    drawn as sqrt(bound) * (random interior symbol) * sqrt(bound) against the
-    kind's upper bound 1 - A*A or 1 - A^T conj(A), which makes the pair valid
-    by construction and keeps closed-form pivots well conditioned.
+    A = U1 diag(s) U2* with singular values s in ``contraction``; B = root Q root
+    for a random interior symbol Q and root = sqrt(cp_bound) = V diag(sqrt(1 - s^2)) V*,
+    V = U2 (conj U2 for gamma; s > 1 clips to 0 and is refused), which makes the
+    pair CP by construction and keeps closed-form pivots well conditioned.
     """
     U1 = random_unitary(d, rng)
     U2 = random_unitary(d, rng)
     s = rng.uniform(*contraction, d)
     A = (U1 * s) @ U2.conj().T
-    bound = cp_bound(kind, A)
-    w, V = np.linalg.eigh(bound)
-    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    V = np.conj(U2) if kind == KIND_GAMMA else U2
+    root = (V * np.sqrt(np.clip(1.0 - s**2, 0.0, None))) @ V.conj().T
     inner = random_symbol(d, rng, 0.1, 0.9)
     B = root @ inner.matrix @ root
     return new_channel(kind, A, (B + B.conj().T) / 2.0)

@@ -102,7 +102,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _checked_spectrum(w: np.ndarray, tol: float) -> np.ndarray:
     """Ascending eigenvalues ``w``, or :class:`SpectrumOutOfRange` when they
     leave [0, 1] by more than ``tol``."""
-    if w.size and (w[0] < -tol or w[-1] > 1.0 + tol):
+    if w.size and not (w[0] >= -tol and w[-1] <= 1.0 + tol):  # NaN refuses
         raise SpectrumOutOfRange(
             f"eigenvalues in [{w[0]:.6e}, {w[-1]:.6e}] leave [0, 1] beyond tol {tol:.1e}"
         )
@@ -114,8 +114,8 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
 
     Raises :class:`NotHermitian` if ``max|M - M*| > tol`` and
     :class:`SpectrumOutOfRange` if any eigenvalue lies below ``-tol`` or above
-    ``1 + tol``.  A ``tol`` that is NaN, infinite or negative raises
-    :class:`InvalidArgument`.
+    ``1 + tol``, or if H = (M + M*)/2 overflows.  A ``tol`` that is NaN,
+    infinite or negative raises :class:`InvalidArgument`.
 
     The range 0 <= H <= 1 of the Hermitian part H is first tried at every d
     by two Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H:
@@ -134,10 +134,13 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     if not 0.0 <= tol < np.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
     M = _operand(M, "matrix", nonempty=True)
-    herm_dev = np.abs(M - M.conj().T).max()
-    if herm_dev > tol:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        herm_dev = np.abs(M - M.conj().T).max()
+        H = (M + M.conj().T) / 2.0
+    if not herm_dev <= tol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")
-    H = (M + M.conj().T) / 2.0
+    if not np.isfinite(H).all():
+        raise SpectrumOutOfRange("the Hermitian part (M + M*)/2 overflows double range")
     kept = min(tol, HERMITIAN_TOL)
     if _certified_psd(H, kept) and _certified_psd(np.eye(H.shape[0]) - H, kept):
         return Symbol(matrix=_frozen(H), _tol=np.inf)
@@ -190,7 +193,8 @@ def _certified_psd(H: np.ndarray, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     c = np.sqrt(2.0) * (n + 3) * _U / (1.0 - (n + 3) * _U)  # sqrt(2) gamma_{n+3}
-    return any(c * bound <= half for bound in _spread_bounds(absL))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound certifies nothing
+        return any(c * bound <= half for bound in _spread_bounds(absL))
 
 
 def _trusted_symbol(H: np.ndarray, tol: float = HERMITIAN_TOL) -> Symbol:

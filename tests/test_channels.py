@@ -27,7 +27,7 @@ from quasifree import (
     validate_symbol,
     von_neumann_entropy,
 )
-from quasifree.channels import cp_bound
+from quasifree.channels import _as_lambda, _twist_past, cp_bound
 from quasifree.sampling import random_channel, random_symbol, random_unitary
 
 KINDS = ("lambda", "gamma")
@@ -108,6 +108,49 @@ def test_classify_rejects_non_finite_and_empty():
             classify_affine_map(AffineSymbolMap(sign, transpose, np.full((2, 2), np.inf), B))
         with pytest.raises(DimensionMismatch):
             classify_affine_map(AffineSymbolMap(sign, transpose, np.zeros((0, 0)), np.zeros((0, 0))))
+
+
+@pytest.mark.parametrize(
+    "A, B",
+    [
+        (1e200 * np.eye(2), 0.1 * np.eye(2)),
+        (1e200 * (1 + 1j) * np.eye(2), 0.1 * np.eye(2)),
+        (0.5 * np.eye(2), np.diag([1e308, 0.1])),
+    ],
+    ids=["A*A-inf", "A*A-nan", "B+B*-inf"],
+)
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_overflowing_cp_slack_is_not_cp(kind, A, B):
+    # the slack held inf or NaN, which passed every < / > test: the channel was accepted
+    with pytest.raises(NotCompletelyPositive, match="^B or its CP slack cp_bound - B overflows"):
+        new_channel(kind, A, B)
+
+
+def test_a_huge_finite_b_is_refused_without_a_warning():
+    # finite, but the certificate's bounds on B overflow; they certify nothing
+    B = 1e307 * (np.eye(20) + 0.5 * np.ones((20, 20)))
+    with pytest.raises(NotCompletelyPositive, match="upper CP constraint violated"):
+        new_channel("lambda", 0.5 * np.eye(20), B)
+
+
+@pytest.mark.parametrize("d", [1, 3, 20])
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_twist_exchanges_b_with_the_transposed_slack(kind, d, rng):
+    At, B, _ = _as_lambda(random_channel(d, rng, kind))
+    Ac, Bt = _twist_past(At, B)
+    tol = 1e-14 * max(1.0, np.abs(B).max())
+    assert np.abs(cp_bound("lambda", Ac) - Bt - B.T).max() <= tol
+    back, again = _twist_past(Ac, Bt)
+    assert np.array_equal(back, At) and np.abs(again - B).max() <= tol
+    QuasiFreeChannel("lambda", Ac, Bt)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_random_channels_up_to_the_unit_ball_are_cp(kind):
+    # the root of the CP bound is read off A's own SVD; a wrong one leaves B outside it
+    for d in (2, 5):
+        for seed in range(50):
+            random_channel(d, np.random.default_rng(seed), kind, contraction=(0.1, 0.999))
 
 
 def test_new_channel_rejects_non_hermitian_b():

@@ -414,6 +414,33 @@ def test_spectrum_beyond_double_range_is_exit_3(tmp_path, capsys):
     assert "Infinity" not in captured.out and "outside double range" in captured.err
 
 
+OVERFLOWS = {
+    "validate symbol": (["validate", "diag"], 3),
+    "entropy": (["entropy", "off"], 3),
+    "validate huge A": (["validate", "hugeA"], 5),
+    "validate huge B": (["validate", "hugeB"], 5),
+    "evolve": (["evolve", "hugeA", "half"], 5),
+    "jamiolkowski": (["jamiolkowski", "hugeA"], 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_an_overflowing_document_is_refused_once_without_a_warning(case, tmp_path):
+    # (M + M*)/2, B + B* or A*A overflows: these printed results and NaN tokens, with exit 0
+    docs = {
+        "diag": write_matrix(tmp_path / "diag.json", np.diag([1e308, 1e308])),
+        "off": write_matrix(tmp_path / "off.json", [[0.5, 1e308], [1e308, 0.5]]),
+        "half": write_matrix(tmp_path / "half.json", 0.5 * np.eye(2)),
+        "hugeA": write_channel(tmp_path / "a.json", "lambda", 1e200 * np.eye(2), 0.1 * np.eye(2)),
+        "hugeB": write_channel(tmp_path / "b.json", "lambda", np.eye(2) / 2, np.diag([1e308, 0.1])),
+    }
+    argv, code = OVERFLOWS[case]
+    cmd = [sys.executable, "-m", "quasifree", argv[0], *(docs[name] for name in argv[1:])]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.count("error:") == 1 and "Warning" not in proc.stderr
+
+
 def test_oracle_check_cli(capsys):
     assert main(["oracle-check", "--d", "2", "--trials", "3", "--seed", "1"]) == 0
     first = capsys.readouterr().out

@@ -625,6 +625,13 @@ REFUSALS = {
         lambda: partial_trace(np.eye(4), (-2, -2), keep=0),
         "dims must be two positive integers, got (-2, -2)",
     ),
+    "partial_trace bool dims": (
+        lambda: partial_trace(np.eye(4), (True, 4), keep=0),
+        "dims must be two positive integers, got (True, 4)",
+    ),
+    "is_elementary negative d": (
+        lambda: is_elementary(np.ones(1), -1, 0), "mode number must be >= 0, got -1"
+    ),
     "wedge_state_product": (
         lambda: wedge_state_product(np.eye(3) / 3, np.eye(2) / 2),
         "operator shape (3, 3) is not 2^d x 2^d",

@@ -17,7 +17,7 @@ from quasifree import (
     validate_symbol,
 )
 from quasifree.sampling import random_hermitian, random_symbol, random_unitary
-from quasifree.symbols import MIX_RANK_TOL, _operand
+from quasifree.symbols import HERMITIAN_TOL, MIX_RANK_TOL, _checked_spectrum, _operand
 
 
 def test_validate_accepts_scalar_symbol():
@@ -70,6 +70,28 @@ def test_validate_rejects_bad_tolerance(tol):
     # with tol = NaN every range comparison would be False and diag(5, -3) pass
     with pytest.raises(InvalidArgument, match="tol"):
         validate_symbol(np.diag([5.0, -3.0]), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "M", [np.diag([1e308, 1e308]), [[0.5, 1e308], [1e308, 0.5]]], ids=["diagonal", "off-diagonal"]
+)
+def test_an_overflowing_hermitian_part_is_out_of_range(M):
+    # (M + M*)/2 overflowed to inf and NaN, which passed every < / > test: a valid symbol
+    with pytest.raises(SpectrumOutOfRange, match=r"^the Hermitian part \(M \+ M\*\)/2 overflows"):
+        validate_symbol(M)
+
+
+def test_huge_finite_matrices_are_refused_without_a_warning():
+    # the certificate's bounds overflow and certify nothing; eigvalsh decides
+    with pytest.raises(SpectrumOutOfRange, match=r"leave \[0, 1\]"):
+        validate_symbol(1e307 * (np.eye(20) + 0.5 * np.ones((20, 20))))
+    with pytest.raises(NotHermitian, match="inf exceeds"):
+        validate_symbol([[0.0, 1e308], [-1e308, 0.0]])
+
+
+def test_a_nan_spectrum_is_out_of_range():
+    with pytest.raises(SpectrumOutOfRange):
+        _checked_spectrum(np.array([np.nan, 0.5]), HERMITIAN_TOL)
 
 
 def test_validate_rejects_empty_matrix():
