@@ -35,12 +35,12 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _certified_psd, _operand, _trusted_symbol
+from .symbols import Symbol, _certified_psd, _frozen, _operand, _trusted_symbol
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
 
-PIVOT_COND_MAX = 1e12
+COND_MAX = 1e12
 CP_TOL = 1e-10
 #: tolerance of the range test on Schrodinger images
 SCHRODINGER_TOL = 1e-8
@@ -86,10 +86,8 @@ class QuasiFreeChannel:
                 low = float(np.linalg.eigvalsh(M)[0])
                 if not low >= -CP_TOL:
                     raise NotCompletelyPositive(refusal.format(low))
-        A = A.copy()  # freeze private copies, never the caller's arrays
-        for name, m in (("A", A), ("B", B)):
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        object.__setattr__(self, "A", _frozen(A.copy()))  # private copies, never the caller's
+        object.__setattr__(self, "B", _frozen(B))
 
     @property
     def dim(self) -> int:
@@ -183,15 +181,15 @@ def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
     return _trusted_symbol((M + M.conj().T) / 2.0, tol=SCHRODINGER_TOL)
 
 
-def checked_inverse(P: np.ndarray, cond_max: float, singular: type, what: str):
+def checked_inverse(P: np.ndarray, singular: type, what: str):
     """(P^-1, det P) for the matrix P, named ``what``, whose determinant scales
-    a closed form: the error type ``singular`` is raised when
-    cond_2(P) >= cond_max, and :class:`ScaleOutOfRange`, giving log|det P|,
-    when det P is not finite or underflows to 0.  Both messages name ``what``.
+    a closed form: ``singular`` is raised when cond_2(P) >= ``COND_MAX``, the
+    one cap of every such form, and :class:`ScaleOutOfRange`, giving
+    log|det P|, when det P is not finite or underflows to 0.  Both name ``what``.
 
     One LU-based inverse screens the condition number: an LU breakdown (an
     exactly zero pivot) is the condition number inf, and as cond_2 <= d cond_1,
-    d ||P||_1 ||P^-1||_1 < cond_max / 2 accepts (the factor 2 absorbs the
+    d ||P||_1 ||P^-1||_1 < COND_MAX / 2 accepts (the factor 2 absorbs the
     rounding of the computed inverse, whose relative error is about
     d u cond_1 << 1 below the limit).  Anything else goes to np.linalg.cond,
     which decides.  det P takes a second LU, as numpy keeps no factorization
@@ -203,11 +201,11 @@ def checked_inverse(P: np.ndarray, cond_max: float, singular: type, what: str):
     except np.linalg.LinAlgError:
         pass
     else:
-        screened = P.shape[0] * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < cond_max / 2.0
-        cond = 0.0 if screened else np.linalg.cond(P)  # 0.0: the screen proves cond_2 < cond_max
-    if cond >= cond_max:
+        screened = P.shape[0] * np.linalg.norm(P, 1) * np.linalg.norm(Pinv, 1) < COND_MAX / 2.0
+        cond = 0.0 if screened else np.linalg.cond(P)  # 0.0: the screen proves cond_2 < COND_MAX
+    if cond >= COND_MAX:
         raise singular(
-            f"{what} condition number {cond:.3e} >= {cond_max:.1e}; the closed form does not apply"
+            f"{what} condition number {cond:.3e} >= {COND_MAX:.1e}; the closed form does not apply"
         )
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         det = complex(np.linalg.det(P))
@@ -228,7 +226,7 @@ def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> Scal
         S, T = T.T, S.T
     D = T - S
     pivot = S + D @ B
-    inverse, scale = checked_inverse(pivot, PIVOT_COND_MAX, SingularPivot, "pivot")
+    inverse, scale = checked_inverse(pivot, SingularPivot, "pivot")
     AD = A @ (inverse @ D)
     del inverse  # not kept through the last product, where it would raise the peak by d^2
     argument = np.eye(channel.dim) + AD @ A.conj().T
@@ -303,7 +301,10 @@ def classify_affine_map(m: AffineSymbolMap) -> str:
     if not canonical and _numerical_rank(A) > 1:
         return "NotCP"
     if m.sign == -1:
-        B = B - A.conj().T @ A
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = B - A.conj().T @ A
+        if not np.isfinite(B).all():  # A*A <= B <= 1 needs ||A|| <= 1: an overflow is not CP
+            return "NotCP"
     try:
         new_channel(KIND_LAMBDA, A, B)
     except NotCompletelyPositive:

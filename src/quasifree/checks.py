@@ -18,7 +18,7 @@ from .choi import _check_dense_dim, _choi_action, _choi_blocks
 from .choi import choi_exponential_form, jamiolkowski_symbol
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import InvalidArgument, NotQuasiFreeMixture
-from .fock import _subset_weights, density_matrix, exp_element, exp_spectrum
+from .fock import _is_integer, _subset_weights, density_matrix, exp_element, exp_spectrum
 from .sampling import random_channel, random_symbol
 from .symbols import mix_symbols, validate_symbol
 
@@ -161,12 +161,12 @@ SUITE = (
 def run_oracle_checks(d: int, trials: int, seed: int) -> list[CheckResult]:
     """The full symbol-versus-oracle suite at dimension d, every check at
     every d the dense oracle accepts: each group of :data:`SUITE` runs all
-    its trials, in order, on one seeded generator.  d < 1, trials < 1,
-    seed < 0 and d beyond the dense reach are refused before the first draw;
-    a failed mixture trial reads inf and leaves later draws as they were."""
-    if d < 1 or trials < 1 or seed < 0:
+    its trials, in order, on one seeded generator.  Non-integer counts,
+    d < 1, trials < 1, seed < 0 and d beyond the dense reach are refused
+    before any draw; a failed mixture trial reads inf and moves no later draw."""
+    if not all(map(_is_integer, (d, trials, seed))) or d < 1 or trials < 1 or seed < 0:
         raise InvalidArgument(
-            f"oracle checks need d >= 1, trials >= 1, seed >= 0; got {d}, {trials}, {seed}"
+            f"oracle checks need integers d >= 1, trials >= 1, seed >= 0; got {(d, trials, seed)}"
         )
     _check_dense_dim(d)
     rng = np.random.default_rng(seed)

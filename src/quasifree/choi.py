@@ -56,7 +56,6 @@ from .errors import (
 from .fock import (
     _exp_blocks,
     _particle_hole_signs,
-    _split_permutation,
     _subset_weights,
     fock_basis,
 )
@@ -66,7 +65,6 @@ from .symbols import SpectralSymbol, Symbol, _operand, _trusted_symbol, spectral
 #: tables live on 2d modes, and at d = 7 one channel takes about 20 s and
 #: 612 MB of Kraus entries
 DENSE_CHOI_CAP = 6
-B_COND_MAX = 1e12
 ENV_SYMBOL_TOL = 1e-8
 #: 1 - s^2 up to eight units of rounding of 1 counts as 0 in the pseudo-inverse
 #: of sqrt(1 - A*A): the SVD's s and its square carry a few units each
@@ -119,13 +117,13 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ScaledExponential:
     Argument [[B^-1 - 1, B^-1 At*], [At B^-1, 1 + At B^-1 At*]] for the
     channel lambda(At, B) . theta^twisted; the twist changes the Choi matrix
     by a unitary on the output factor only, which the form leaves out.
-    Raises :class:`SingularB` when cond(B) >= ``B_COND_MAX``; callers may
-    fall back to :func:`dense_choi` at small d.  A well-conditioned B whose det
-    leaves double range raises :class:`ScaleOutOfRange`.
+    Raises :class:`SingularB` when cond(B) >= ``COND_MAX``, the one cap of
+    :func:`checked_inverse`, and :class:`ScaleOutOfRange` when det(B) leaves
+    double range; callers may fall back to :func:`dense_choi` at small d.
     """
     A, B, _ = _as_lambda(channel)
     d = channel.dim
-    Binv, scale = checked_inverse(B, B_COND_MAX, SingularB, "B")
+    Binv, scale = checked_inverse(B, SingularB, "B")
     Binv = (Binv + Binv.conj().T) / 2.0
     AB = A @ Binv
     argument = np.empty((2 * d, 2 * d), dtype=complex)
@@ -185,8 +183,8 @@ def _kraus_entries(channel: QuasiFreeChannel) -> np.ndarray:
     channel's lambda(At, B), channel*(x) = sum_{L,c} K[:, L, :, c] x K[:, L, :, c]*.
 
     They are the sector blocks of E(V') on 2d modes, each row-major, in
-    sector order; row state r splits into (a, L), column state s into (i, c),
-    by :func:`_split_permutation`, and :func:`_charge_blocks` says where each
+    sector order; row state r is (a, L), a on the low d modes and L on the
+    high, column state s is (i, c), and :func:`_charge_blocks` says where each
     sits in the Choi blocks.  The environment state is E(W) diag(p) E(W)*, W
     the eigenvectors of its symbol and p their subset weights;
     1 (x) E(W)* = U E(1 + W*) U* under the split isomorphism U, so the
@@ -250,16 +248,15 @@ def _charge_blocks(d: int) -> tuple:
     :func:`_check_cover` proves that together they hold every entry exactly
     once.
     """
-    n = 1 << d
-    size = fock_basis(d).occupation.sum(axis=1)
+    half, whole = fock_basis(d), fock_basis(2 * d)
+    n, size = half.size, half.occupation.sum(axis=1)
     outer, inner = np.divmod(np.arange(n * n), n)  # (i, a) or (L, c)
     charge = size[inner] - size[outer]
     # the 2d-mode state of each pair (left, right), its sector, place and width
-    state = np.empty(n * n, dtype=np.intp)
-    state[_split_permutation(d, d)] = np.arange(n * n)
-    sector = (size[:, None] + size).ravel()
-    width = np.array([comb(2 * d, k) for k in range(2 * d + 1)])
-    place = state - (np.cumsum(width) - width)[sector]
+    state = whole.position[half.masks[outer] | half.masks[inner] << d]
+    sector = size[outer] + size[inner]
+    place = state - whole.starts[sector]
+    width = np.diff(whole.starts)
     starts = np.cumsum(width * width) - width * width  # of each sector's entries
     blocks = []
     for m in range(-d, d + 1):

@@ -32,7 +32,7 @@ permutation, applied as an index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
@@ -67,8 +67,9 @@ class FockBasis:
     the read-only tables the dense builders read.
 
     ``occupation`` is the (2^d, d) table of 0/1 whose row i marks the modes
-    occupied in state i.  ``laplace[k]``, k = 1..d, is the pair (modes, drop)
-    of (C(d, k), k) index tables of sector k (``laplace[0]`` is None):
+    occupied in state i; sector k is the states ``starts[k]`` up to
+    starts[k + 1].  ``laplace[k]``, k = 1..d, is the pair (modes, drop) of
+    (C(d, k), k) index tables of sector k (``laplace[0]`` is None):
     modes[K, j] is the j-th occupied mode of the sector-k subset K in
     ascending order, and drop[K, j] the position of K minus that mode within
     sector k-1.  Removing modes[K, j] from K passes it over j lower modes,
@@ -79,6 +80,7 @@ class FockBasis:
     masks: np.ndarray = field(repr=False)
     position: np.ndarray = field(repr=False)
     occupation: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
     laplace: tuple = field(repr=False)
 
     @property
@@ -86,13 +88,14 @@ class FockBasis:
         return 1 << self.d
 
     def sector(self, k: int) -> slice:
-        start = sum(comb(self.d, j) for j in range(k))
-        return slice(start, start + comb(self.d, k))
+        return slice(self.starts[k], self.starts[k + 1])
 
 
 def fock_basis(d: int) -> FockBasis:
     """The basis of d modes, refused above ``HARD_ORACLE_CAP`` before it is
     built: the one entry to the cached basis and its tables."""
+    if not _is_integer(d):
+        raise DimensionMismatch(f"mode number must be an integer, got {d!r}")
     if d < 0:
         raise DimensionMismatch(f"mode number must be >= 0, got {d}")
     if d > HARD_ORACLE_CAP:
@@ -104,6 +107,10 @@ def fock_basis(d: int) -> FockBasis:
     return _fock_basis(d)
 
 
+def _is_integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)  # a bool is no count
+
+
 @lru_cache(maxsize=None)
 def _fock_basis(d: int) -> FockBasis:
     subsets = (s for k in range(d + 1) for s in combinations(range(d), k))
@@ -111,33 +118,32 @@ def _fock_basis(d: int) -> FockBasis:
     position = np.empty_like(masks)
     position[masks] = np.arange(masks.size)
     occupation = (masks[:, None] >> np.arange(d)) & 1
-    basis = FockBasis(d, masks, position, occupation, laplace=())
+    starts = np.searchsorted(occupation.sum(axis=1), np.arange(d + 2))  # sizes ascend
     laplace = [None]
     for k in range(1, d + 1):
-        sl = basis.sector(k)
+        sl = slice(starts[k], starts[k + 1])
         modes = np.nonzero(occupation[sl])[1].reshape(-1, k)
-        drop = position[masks[sl, None] ^ (1 << modes)] - basis.sector(k - 1).start
+        drop = position[masks[sl, None] ^ (1 << modes)] - starts[k - 1]
         laplace.append((modes, drop))
-    for table in (masks, position, occupation, *chain(*laplace[1:])):
+    for table in (masks, position, occupation, starts, *chain(*laplace[1:])):
         table.flags.writeable = False
-    return replace(basis, laplace=tuple(laplace))
+    return FockBasis(d, masks, position, occupation, starts, tuple(laplace))
 
 
 def creation_operator(phi) -> np.ndarray:
-    """Creation operator of the one-particle vector phi, linear in phi.
-
-    Its adjoint is the annihilation operator (antilinear in the argument).
+    """Creation operator of the one-particle vector phi, linear in phi, read
+    off the Laplace tables: e_(K - m_j) -> (-1)^j phi[m_j] e_K, m_j the j-th
+    mode of K.  Its adjoint is the annihilation operator (antilinear in phi).
     """
     phi = _operand(phi, "phi", ndim=1)
-    d = phi.shape[0]
-    basis = fock_basis(d)
-    occ = basis.occupation
-    below = np.cumsum(occ, axis=1) - occ  # occupied modes below each mode
+    basis = fock_basis(phi.shape[0])
     out = np.zeros((basis.size, basis.size), dtype=complex)
-    for mode in np.flatnonzero(phi):
-        cols = np.flatnonzero(occ[:, mode] == 0)
-        rows = basis.position[basis.masks[cols] | (1 << mode)]
-        out[rows, cols] = np.where(below[cols, mode] % 2, -phi[mode], phi[mode])
+    for k in range(1, basis.d + 1):
+        modes, drop = basis.laplace[k]
+        coeff = phi[modes]
+        coeff[:, 1::2] = -coeff[:, 1::2]  # negated, not scaled by -1: -0.0 parts stay
+        coeff = np.where(phi[modes] != 0, coeff, 0.0)  # a zero phi[m] writes +0.0
+        np.put_along_axis(out[basis.sector(k), basis.sector(k - 1)], drop, coeff, axis=1)
     return out
 
 
@@ -157,7 +163,8 @@ def _exp_blocks(X: np.ndarray):
     E_k[K, L] is the minor det X[K, L] (rows K from the tables of d, columns
     L from those of m), expanded along its lowest column:
     sum_j (-1)^j X[m_j, min L] E_{k-1}[K - m_j, L - min L], m_j the j-th mode
-    of K.  Only the previous block is kept.
+    of K.  Only the previous block is kept.  A block with an entry beyond
+    double range raises :class:`ScaleOutOfRange`, naming its sector.
     """
     rows, cols = fock_basis(X.shape[0]).laplace, fock_basis(X.shape[1]).laplace
     prev = np.ones((1, 1), dtype=complex)
@@ -167,13 +174,13 @@ def _exp_blocks(X: np.ndarray):
         col_modes, col_drop = cols[k]
         lowest = X[:, col_modes[:, 0]]  # X[m, min L] for every column subset L
         rest = prev[:, col_drop[:, 0]]  # E_{k-1}[., L - min L]
-        block = lowest[modes[:, 0]] * rest[drop[:, 0]]
-        for j in range(1, k):
-            term = lowest[modes[:, j]] * rest[drop[:, j]]
-            if j % 2:
-                block -= term
-            else:
-                block += term
+        with np.errstate(over="ignore", invalid="ignore"):  # a minor beyond range is refused below
+            block = lowest[modes[:, 0]] * rest[drop[:, 0]]
+            for j in range(1, k):
+                term = lowest[modes[:, j]] * rest[drop[:, j]]
+                (np.subtract if j % 2 else np.add)(block, term, out=block)
+        if not np.isfinite(block).all():
+            raise ScaleOutOfRange(f"E(X) has a sector-{k} minor outside double range")
         prev = block
         yield block
 
@@ -190,8 +197,7 @@ def exp_element(X) -> np.ndarray:
     through the index tables of :func:`fock_basis`.
     """
     X = _operand(X, "X")
-    d = X.shape[0]
-    basis = fock_basis(d)
+    basis = fock_basis(X.shape[0])
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for k, block in enumerate(_exp_blocks(X)):
         sl = basis.sector(k)
@@ -284,8 +290,8 @@ def is_elementary(phi, d: int, k: int) -> bool:
     """True iff the sector-k vector phi is a single wedge of k one-particle
     vectors, decided by the dimension of {chi : chi ^ phi = 0} being k."""
     fock_basis(d)  # refuses d < 0 and d above the cap, as for every builder
-    if k < 0:
-        raise InvalidArgument(f"sector must be >= 0, got {k}")
+    if not _is_integer(k) or k < 0:
+        raise InvalidArgument(f"sector must be an integer >= 0, got {k!r}")
     phi = _operand(phi, "phi", ndim=1)
     if phi.shape[0] != comb(d, k):
         raise DimensionMismatch(
@@ -392,19 +398,14 @@ def partial_trace(M: np.ndarray, dims: tuple, keep: int) -> np.ndarray:
     that survives (0 or 1).
     """
     M = _operand(M, "matrix")
-    if np.shape(dims) != (2,) or not all(
-        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n > 0 for n in dims
-    ):
+    if np.shape(dims) != (2,) or not all(_is_integer(n) and n > 0 for n in dims):
         raise DimensionMismatch(f"dims must be two positive integers, got {dims!r}")
     D1, D2 = dims
     if M.shape != (D1 * D2, D1 * D2):
         raise DimensionMismatch(f"matrix shape {M.shape} does not match dims {dims}")
-    T = M.reshape(D1, D2, D1, D2)
-    if keep == 0:
-        return np.einsum("abcb->ac", T)
-    if keep == 1:
-        return np.einsum("abad->bd", T)
-    raise InvalidArgument(f"keep must be 0 or 1, got {keep!r}")
+    if not _is_integer(keep) or keep not in (0, 1):
+        raise InvalidArgument(f"keep must be 0 or 1, got {keep!r}")
+    return np.einsum("abcb->ac" if keep == 0 else "abad->bd", M.reshape(D1, D2, D1, D2))
 
 
 def _modes_of(op: np.ndarray) -> int:

@@ -114,8 +114,8 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
 
     Raises :class:`NotHermitian` if ``max|M - M*| > tol`` and
     :class:`SpectrumOutOfRange` if any eigenvalue lies below ``-tol`` or above
-    ``1 + tol``, or if H = (M + M*)/2 overflows.  A ``tol`` that is NaN,
-    infinite or negative raises :class:`InvalidArgument`.
+    ``1 + tol``, or if H = (M + M*)/2 overflows.  A ``tol`` that is a bool,
+    NaN, infinite or negative raises :class:`InvalidArgument`.
 
     The range 0 <= H <= 1 of the Hermitian part H is first tried at every d
     by two Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H:
@@ -131,7 +131,7 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     away, through :func:`spectral`: the clamped matrix is V diag(clip w) V*,
     so that decomposition is its own and stays cached.
     """
-    if not 0.0 <= tol < np.inf:
+    if isinstance(tol, bool) or not 0.0 <= tol < np.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
     M = _operand(M, "matrix", nonempty=True)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below

@@ -459,6 +459,16 @@ def test_classify_canonical_examples():
     assert classify_affine_map(AffineSymbolMap(-1, True, eye, 0.5 * eye)) == "NotCP"
 
 
+def test_an_overflowing_a_star_a_is_not_cp():
+    # A*A <= B <= 1 needs ||A|| <= 1: an A*A beyond double range is NotCP, with
+    # no warning and no refusal of the finite B the caller gave
+    huge = 1e200 * np.eye(1)
+    for transpose in (True, False):
+        assert classify_affine_map(AffineSymbolMap(-1, transpose, huge, np.eye(1))) == "NotCP"
+    rank_one = np.array([[1e200, 1e200], [0.0, 0.0]])
+    assert classify_affine_map(AffineSymbolMap(-1, False, rank_one, np.eye(2))) == "NotCP"
+
+
 def test_classify_non_canonical_needs_rank_one():
     eye = np.eye(2)
     # full transpose: rank-2 A, never CP even though the eigenvalue test holds

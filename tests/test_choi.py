@@ -218,6 +218,36 @@ def test_dense_choi_is_the_full_product_by_charge_blocks(rng, kind):
         assert not C[charge[:, None] != charge[None, :]].any()
 
 
+def charge_blocks_reference(d):
+    """The tables of _charge_blocks as built from the inverted split
+    permutation and the binomial widths of the 2d-mode sectors."""
+    n = 2**d
+    size = fock_basis(d).occupation.sum(axis=1)
+    outer, inner = np.divmod(np.arange(n * n), n)
+    charge = size[inner] - size[outer]
+    state = np.empty(n * n, dtype=np.intp)
+    state[_split_permutation(d, d)] = np.arange(n * n)
+    sector = (size[:, None] + size).ravel()
+    width = np.array([comb(2 * d, k) for k in range(2 * d + 1)])
+    place = state - (np.cumsum(width) - width)[sector]
+    starts = np.cumsum(width * width) - width * width
+    blocks = []
+    for m in range(-d, d + 1):
+        rows = np.flatnonzero(charge == m)
+        r = inner[rows, None] * n + outer[rows]
+        s = outer[rows, None] * n + inner[rows]
+        k = sector[r]
+        blocks.append((rows, (starts[k] + place[r] * width[k] + place[s]).astype(np.int32)))
+    return blocks
+
+
+def test_charge_blocks_match_the_split_permutation_construction():
+    for d in range(1, 7):
+        for got, expect in zip(_charge_blocks(d), charge_blocks_reference(d), strict=True):
+            for table, reference in zip(got, expect):
+                assert table.dtype == reference.dtype and np.array_equal(table, reference)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_charge_block_cover_refuses_a_table_that_misses_an_entry(rng, kind):
     d = 2
@@ -559,7 +589,9 @@ def test_oracle_checks_reach_channels_and_choi_at_six():
 @pytest.mark.parametrize(
     "d, trials, seed, error",
     [(7, 1, 0, DimensionCap), (2, 0, 0, InvalidArgument), (3, -2, 0, InvalidArgument),
-     (2, 1, -1, InvalidArgument), (0, 1, 0, InvalidArgument), (-1, 1, 0, InvalidArgument)],
+     (2, 1, -1, InvalidArgument), (0, 1, 0, InvalidArgument), (-1, 1, 0, InvalidArgument),
+     (2.5, 1, 0, InvalidArgument), (True, 1, 0, InvalidArgument), (2, 1.0, 0, InvalidArgument),
+     (2, True, 0, InvalidArgument), (2, 1, 0.5, InvalidArgument)],
 )
 def test_oracle_checks_refuse_before_the_first_draw(monkeypatch, d, trials, seed, error):
     # no trial ran would pass every check vacuously; d = 7 would fail after

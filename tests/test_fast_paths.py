@@ -36,8 +36,7 @@ from quasifree import (
     spectral,
     validate_symbol,
 )
-from quasifree.channels import CP_TOL, PIVOT_COND_MAX, cp_bound
-from quasifree.choi import B_COND_MAX
+from quasifree.channels import COND_MAX, CP_TOL, cp_bound
 from quasifree.sampling import random_channel, random_symbol, random_unitary
 from quasifree.symbols import CW_STEPS, HERMITIAN_TOL, _certified_psd, _spread_bounds
 
@@ -326,7 +325,7 @@ def test_heisenberg_exp_pivot_decides_as_cond(kind, rng):
             X = ((P - 0.25 * eye) / 0.75).T
             M = c.B.T + c.A.conj().T @ c.A
             pivot = eye - M + X.T @ M
-        singular = np.linalg.cond(pivot) >= PIVOT_COND_MAX
+        singular = np.linalg.cond(pivot) >= COND_MAX
         assert singular == (cond > 1e12)
         if singular:
             with pytest.raises(SingularPivot):
@@ -344,7 +343,7 @@ def test_heisenberg_state_pivot_decides_as_cond(kind, rng):
     for cond in CONDS:
         U = random_unitary(d, rng)
         Q = validate_symbol((U * np.geomspace(1.0, 1.0 / cond, d)) @ U.conj().T)
-        singular = np.linalg.cond(Q.matrix) >= PIVOT_COND_MAX
+        singular = np.linalg.cond(Q.matrix) >= COND_MAX
         assert singular == (cond > 1e12)
         if singular:
             with pytest.raises(SingularPivot, match="pivot condition number"):
@@ -359,7 +358,7 @@ def test_choi_b_decides_as_cond(kind, rng):
     for cond in CONDS:
         U = random_unitary(d, rng)
         c = new_channel(kind, np.zeros((d, d)), (U * np.geomspace(0.9, 0.9 / cond, d)) @ U.conj().T)
-        singular = np.linalg.cond(c.B) >= B_COND_MAX
+        singular = np.linalg.cond(c.B) >= COND_MAX
         assert singular == (cond > 1e12)
         if singular:
             with pytest.raises(SingularB):

@@ -63,6 +63,40 @@ def test_creation_two_level():
     assert np.allclose(adag @ adag @ vac, 0.0)
 
 
+def creation_operator_reference(phi):
+    """a*(phi) by a loop over the modes with phi[mode] != 0: each state without
+    the mode goes to the state with it, signed by the occupied modes below."""
+    basis = fock_basis(phi.shape[0])
+    occ = basis.occupation
+    below = np.cumsum(occ, axis=1) - occ
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    for mode in np.flatnonzero(phi):
+        cols = np.flatnonzero(occ[:, mode] == 0)
+        rows = basis.position[basis.masks[cols] | (1 << mode)]
+        out[rows, cols] = np.where(below[cols, mode] % 2, -phi[mode], phi[mode])
+    return out
+
+
+def test_creation_operator_matches_the_per_mode_loop_bit_for_bit(rng):
+    # bytes, not values: a zero phi entry (also -0.0) gives +0.0 and a negated
+    # real entry keeps its -0.0 imaginary part, which no CAR test can see
+    for d in range(1, 7):
+        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        phi[rng.integers(d)] = 0.0
+        for v in (phi, phi.real, -phi.real, *np.eye(d), *-np.eye(d)):
+            expect = creation_operator_reference(np.asarray(v, dtype=complex))
+            assert creation_operator(v).tobytes() == expect.tobytes()
+
+
+def test_sector_offsets_are_the_binomial_sums():
+    for d in range(HARD_ORACLE_CAP + 1):
+        basis = fock_basis(d)
+        assert not basis.starts.flags.writeable
+        for k in range(d + 1):
+            start = sum(comb(d, j) for j in range(k))
+            assert basis.sector(k) == slice(start, start + comb(d, k))
+
+
 def test_car_anticommutators():
     d = 3
     eye = np.eye(2**d)
@@ -189,6 +223,17 @@ def test_exp_spectrum_refuses_a_product_beyond_double_range():
         assert np.isfinite(got).all() and abs(np.sort(got.real)[-1] / largest - 1.0) < 1e-12
     with pytest.raises(ScaleOutOfRange, match=r"log\|\.\| = 1\.381551e\+03"):
         exp_spectrum(np.diag([1e300, 1e300, 0.0]))  # a zero eigenvalue adds no log term
+
+
+def test_exp_element_refuses_a_minor_beyond_double_range():
+    # as exp_spectrum of the same X does: its sector-2 minor is -2e400
+    X = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    for build in (exp_element, exp_spectrum):
+        with pytest.raises(ScaleOutOfRange):
+            build(X)
+    with pytest.raises(ScaleOutOfRange, match="sector-2 minor outside double range"):
+        exp_element(X)
+    assert np.isfinite(exp_element(1e150 * np.array([[1.0, 1.0], [1.0, -1.0]]))).all()
 
 
 def test_exp_spectrum_matches_dense(rng):
@@ -338,11 +383,16 @@ def test_elementary_top_sector():
 def test_elementary_negative_sector_is_typed():
     with pytest.raises(InvalidArgument):
         is_elementary(np.array([1.0]), 3, -1)
+    for k in (1.5, 1.0, True):  # a sector that is no integer, as the bool True
+        with pytest.raises(InvalidArgument, match=f"sector must be an integer >= 0, got {k}"):
+            is_elementary(np.ones(3), 3, k)
 
 
 def test_partial_trace_bad_factor_is_typed():
     with pytest.raises(InvalidArgument):
         partial_trace(np.eye(4), (2, 2), keep=2)
+    with pytest.raises(InvalidArgument, match="keep must be 0 or 1, got True"):
+        partial_trace(np.eye(4), (2, 2), True)  # not the keep = 1 trace
 
 
 def test_split_isomorphism_one_one():
@@ -635,6 +685,14 @@ REFUSALS = {
     "wedge_state_product": (
         lambda: wedge_state_product(np.eye(3) / 3, np.eye(2) / 2),
         "operator shape (3, 3) is not 2^d x 2^d",
+    ),
+    "fock_basis float": (lambda: fock_basis(2.5), "mode number must be an integer, got 2.5"),
+    "fock_basis bool": (lambda: fock_basis(True), "mode number must be an integer, got True"),
+    "number_operator float": (
+        lambda: number_operator(2.0), "mode number must be an integer, got 2.0"
+    ),
+    "split_isomorphism bool": (
+        lambda: split_isomorphism(True, 2), "mode number must be an integer, got True"
     ),
 }
 

@@ -65,7 +65,7 @@ def test_complex_operand_passes_without_a_copy():
     assert _operand(M, "M") is M
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10, True])
 def test_validate_rejects_bad_tolerance(tol):
     # with tol = NaN every range comparison would be False and diag(5, -3) pass
     with pytest.raises(InvalidArgument, match="tol"):
