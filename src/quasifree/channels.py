@@ -35,7 +35,7 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _certified_psd, _frozen, _operand, _trusted_symbol
+from .symbols import Symbol, _certified_psd, _frozen, _operand
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
@@ -178,7 +178,7 @@ def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
     At, B, twisted = _as_lambda(channel)
     Qm = np.eye(channel.dim) - Q.matrix.T if twisted else Q.matrix
     M = At.conj().T @ Qm @ At + B
-    return _trusted_symbol((M + M.conj().T) / 2.0, tol=SCHRODINGER_TOL)
+    return Symbol((M + M.conj().T) / 2.0, SCHRODINGER_TOL)
 
 
 def checked_inverse(P: np.ndarray, singular: type, what: str):
@@ -295,7 +295,7 @@ def classify_affine_map(m: AffineSymbolMap) -> str:
     Both tests are :func:`new_channel`'s, of lambda(A, B) and lambda(A, B - A*A).
     """
     A, B = _square_pair(m.A, m.B)
-    if m.sign not in (1, -1):
+    if isinstance(m.sign, (bool, np.bool_)) or m.sign not in (1, -1):  # a bool is no sign
         raise InvalidArgument(f"sign must be +1 or -1, got {m.sign}")
     canonical = (m.sign == 1) != bool(m.transpose_input)
     if not canonical and _numerical_rank(A) > 1:

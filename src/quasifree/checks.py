@@ -18,9 +18,9 @@ from .choi import _check_dense_dim, _choi_action, _choi_blocks
 from .choi import choi_exponential_form, jamiolkowski_symbol
 from .entropy import relative_entropy, renyi_entropy, von_neumann_entropy
 from .errors import InvalidArgument, NotQuasiFreeMixture
-from .fock import _is_integer, _subset_weights, density_matrix, exp_element, exp_spectrum
+from .fock import _subset_weights, density_matrix, exp_element, exp_spectrum
 from .sampling import random_channel, random_symbol
-from .symbols import mix_symbols, validate_symbol
+from .symbols import _is_integer, mix_symbols, validate_symbol
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from .fock import (
     _subset_weights,
     fock_basis,
 )
-from .symbols import SpectralSymbol, Symbol, _operand, _trusted_symbol, spectral
+from .symbols import SpectralSymbol, Symbol, _operand, spectral
 
 #: the largest d of the dense Choi/Stinespring constructions, a time cap: their
 #: tables live on 2d modes, and at d = 7 one channel takes about 20 s and
@@ -107,7 +107,7 @@ def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     gram = A.conj().T @ A
     J[d:, d:] = 0.25 * (gram + gram.conj().T)  # A*A / 2, exactly Hermitian
     J[d:, d:] += B
-    return JamiolkowskiSymbol(symbol=_trusted_symbol(J))
+    return JamiolkowskiSymbol(symbol=Symbol(J))
 
 
 def choi_exponential_form(channel: QuasiFreeChannel) -> ScaledExponential:
@@ -173,7 +173,7 @@ def _environment_symbol(
             "no environment symbol in [0, 1] reproduces B through sqrt(1-A*A)"
         )
     try:
-        return spectral(_trusted_symbol(Qp, tol=ENV_SYMBOL_TOL))
+        return spectral(Symbol(Qp, ENV_SYMBOL_TOL))
     except SpectrumOutOfRange as exc:
         raise InconsistentB(str(exc)) from exc
 

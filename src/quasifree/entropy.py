@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, KernelConditionViolated
-from .symbols import Symbol, spectral
+from .symbols import Symbol, _is_real, spectral
 
 #: eigenvalues of Q2 at most this count as kernel components
 KERNEL_TOL = 1e-10
@@ -19,9 +19,9 @@ KERNEL_INCLUSION_TOL = 1e-8
 
 
 def _check_order(p: float) -> None:
-    """Raise :class:`InvalidOrder` unless p is a Renyi order: positive, finite
-    and different from 1."""
-    if not 0.0 < p < np.inf or p == 1.0:
+    """Raise :class:`InvalidOrder` unless p is a Renyi order: a real number,
+    positive, finite and different from 1."""
+    if not _is_real(p) or not 0.0 < p < np.inf or p == 1.0:
         raise InvalidOrder(f"Renyi order must be in (0,1) or (1,inf), got {p}")
 
 

@@ -48,7 +48,7 @@ from .errors import (
     ScaleOutOfRange,
     ZeroVector,
 )
-from .symbols import Symbol, _operand, spectral
+from .symbols import Symbol, _is_integer, _operand, spectral
 
 #: ceiling on the mode number of any dense construction: one 2^d x 2^d
 #: complex matrix is 4.3 GB at d = 14 and 17.2 GB at d = 15
@@ -105,10 +105,6 @@ def fock_basis(d: int) -> FockBasis:
             f"complex matrix is {gigabytes:.1f} GB"
         )
     return _fock_basis(d)
-
-
-def _is_integer(n) -> bool:
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)  # a bool is no count
 
 
 @lru_cache(maxsize=None)

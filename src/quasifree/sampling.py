@@ -9,16 +9,23 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import KIND_GAMMA, QuasiFreeChannel, new_channel
-from .symbols import Symbol, validate_symbol
+from .errors import DimensionMismatch
+from .symbols import Symbol, _is_integer, validate_symbol
+
+
+def _square_normal(d: int, rng: np.random.Generator) -> np.ndarray:
+    if not _is_integer(d) or d < 1:  # a bool or a float is no dimension
+        raise DimensionMismatch(f"dimension must be an integer >= 1, got {d!r}")
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    M = _square_normal(d, rng)
     return (M + M.conj().T) / 2.0
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    M = _square_normal(d, rng)
     Q, R = np.linalg.qr(M)
     phases = np.diag(R) / np.abs(np.diag(R))
     return Q * phases

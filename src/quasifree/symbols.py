@@ -7,7 +7,7 @@ the state computed in this package reduces to a functional of Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -32,19 +32,28 @@ _U = np.finfo(float).eps / 2.0  # unit roundoff
 class Symbol:
     """A one-particle symbol: ``matrix`` is exactly Hermitian and read-only.
 
-    ``eigenvalues`` (descending, clipped to [0, 1]) are computed on first read
-    and cached.  Producers whose output is a symbol by theorem (channel
-    images, Jamiolkowski blocks, convex mixtures) skip the eigendecomposition;
-    their range test runs, at the producer's tolerance ``_tol``, when the
-    spectrum is first read.  A symbol that :func:`validate_symbol` certified
-    by Cholesky is kept as given, so its matrix may have eigenvalues outside
-    [0, 1] by dust within ``min(tol, HERMITIAN_TOL)``; that range is already
-    proven, so its ``_tol`` is infinite and the first read only clips.
+    The constructor makes every symbol and proves nothing; a matrix from
+    outside goes through :func:`validate_symbol`.  It freezes ``matrix``
+    without a copy: a hand-built ``Symbol(M)`` with a complex M freezes M in
+    place.  ``eigenvalues`` (descending, clipped to [0, 1]) are computed on
+    first read, range-checked at the init-only tolerance ``_tol`` and cached
+    per instance; ``_seed`` holds spectrum entries already computed.  So
+    symbols by theorem (channel images, Jamiolkowski blocks, convex mixtures)
+    skip the eigendecomposition.  A symbol that :func:`validate_symbol`
+    certified by Cholesky may have eigenvalues outside [0, 1] by dust within
+    ``min(tol, HERMITIAN_TOL)``; that range is proven, so its ``_tol`` is
+    infinite and the first read only clips.  ``dataclasses.replace`` starts
+    from an empty cache at ``HERMITIAN_TOL``.
     """
 
     matrix: np.ndarray
-    _tol: float = field(default=HERMITIAN_TOL, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _tol: InitVar[float] = HERMITIAN_TOL
+    _seed: InitVar[dict | None] = None
+    _cache: dict = field(init=False, repr=False, default_factory=dict)
+
+    def __post_init__(self, _tol, _seed):
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        self._cache.update(_seed or (), tol=_tol)
 
     @property
     def dim(self) -> int:
@@ -54,7 +63,7 @@ class Symbol:
     def eigenvalues(self) -> np.ndarray:
         w = self._cache.get("eigenvalues")
         if w is None:
-            w = _checked_spectrum(np.linalg.eigvalsh(self.matrix), self._tol)
+            w = _checked_spectrum(np.linalg.eigvalsh(self.matrix), self._cache["tol"])
             w = _frozen(np.clip(w, 0.0, 1.0)[::-1].copy())
             self._cache["eigenvalues"] = w
         return w
@@ -93,6 +102,14 @@ def _operand(M, name: str, ndim: int = 2, nonempty: bool = False) -> np.ndarray:
     return M
 
 
+def _is_integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)  # a bool is no count
+
+
+def _is_real(x) -> bool:
+    return np.ndim(x) == 0 and np.asarray(x).dtype.kind in "iuf"  # no bool, str, None or list
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -110,28 +127,27 @@ def _checked_spectrum(w: np.ndarray, tol: float) -> np.ndarray:
 
 
 def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
-    """Check that M is a symbol and return it with eigenvalues clipped to [0, 1].
-
-    Raises :class:`NotHermitian` if ``max|M - M*| > tol`` and
-    :class:`SpectrumOutOfRange` if any eigenvalue lies below ``-tol`` or above
-    ``1 + tol``, or if H = (M + M*)/2 overflows.  A ``tol`` that is a bool,
-    NaN, infinite or negative raises :class:`InvalidArgument`.
+    """Check that M is a symbol and return it with eigenvalues clipped to [0, 1]:
+    the one entry for matrices from outside.  Raises :class:`NotHermitian` if
+    ``max|M - M*| > tol`` and :class:`SpectrumOutOfRange` if any eigenvalue
+    lies below ``-tol`` or above ``1 + tol``, or if H = (M + M*)/2 overflows;
+    a ``tol`` that is a bool or not a real number, NaN, infinite or negative
+    raises :class:`InvalidArgument`.
 
     The range 0 <= H <= 1 of the Hermitian part H is first tried at every d
     by two Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H:
     a Frobenius bound, then a Collatz-Wielandt bound, within ||L||_1 ||L||_inf
     at step 0 up to a rounding factor 1 + O(d u)).  Certified matrices are
-    kept as given, without an eigendecomposition; their eigenvalues are
-    clipped on read.  The certificates run at ``min(tol, HERMITIAN_TOL)``,
-    not at ``tol``: dust kept in the matrix then stays within what consumers
-    with fixed tolerances accept (mixtures, channel images, the
-    relative-entropy kernel test), and larger dust, even within a larger
-    ``tol``, is clamped.  Otherwise eigvalsh decides and words the error, and
-    violations within ``tol`` are treated as floating-point dust and clamped
-    away, through :func:`spectral`: the clamped matrix is V diag(clip w) V*,
-    so that decomposition is its own and stays cached.
+    kept as given (see :class:`Symbol`).  The certificates run at
+    ``min(tol, HERMITIAN_TOL)``, not at ``tol``: dust kept in the matrix then
+    stays within what consumers with fixed tolerances accept (mixtures,
+    channel images, the relative-entropy kernel test), and larger dust, even
+    within a larger ``tol``, is clamped.  Otherwise eigvalsh decides and words
+    the error, and violations within ``tol`` are treated as floating-point
+    dust and clamped away, through :func:`spectral`: the clamped matrix is
+    V diag(clip w) V*, so that decomposition is its own and stays cached.
     """
-    if isinstance(tol, bool) or not 0.0 <= tol < np.inf:
+    if not _is_real(tol) or not 0.0 <= tol < np.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
     M = _operand(M, "matrix", nonempty=True)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -143,14 +159,14 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
         raise SpectrumOutOfRange("the Hermitian part (M + M*)/2 overflows double range")
     kept = min(tol, HERMITIAN_TOL)
     if _certified_psd(H, kept) and _certified_psd(np.eye(H.shape[0]) - H, kept):
-        return Symbol(matrix=_frozen(H), _tol=np.inf)
+        return Symbol(H, np.inf)
     w = _checked_spectrum(np.linalg.eigvalsh(H), tol)
     if w[0] >= 0.0 and w[-1] <= 1.0:
-        return Symbol(matrix=_frozen(H), _cache={"eigenvalues": _frozen(w[::-1].copy())})
-    s = spectral(_trusted_symbol(H, tol))
+        return Symbol(H, _seed={"eigenvalues": _frozen(w[::-1].copy())})
+    s = spectral(Symbol(H, tol))
     H = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
     H = (H + H.conj().T) / 2.0
-    return Symbol(matrix=_frozen(H), _cache={"eigenvalues": s.eigenvalues, "spectral": s})
+    return Symbol(H, _seed={"eigenvalues": s.eigenvalues, "spectral": s})
 
 
 def _spread_bounds(absL: np.ndarray):
@@ -197,15 +213,6 @@ def _certified_psd(H: np.ndarray, tol: float) -> bool:
         return any(c * bound <= half for bound in _spread_bounds(absL))
 
 
-def _trusted_symbol(H: np.ndarray, tol: float = HERMITIAN_TOL) -> Symbol:
-    """Symbol of an exactly Hermitian matrix that lies in [0, 1] by theorem,
-    or whose spectrum is read at once, without an eigendecomposition; the
-    range test runs at ``tol`` when the spectrum is first read.  Never use it
-    for a matrix that comes from outside: that is :func:`validate_symbol`'s
-    job."""
-    return Symbol(matrix=_frozen(H), _tol=tol)
-
-
 def spectral(Q: Symbol) -> SpectralSymbol:
     """Eigendecomposition of a symbol with eigenvalues sorted descending.
 
@@ -217,7 +224,7 @@ def spectral(Q: Symbol) -> SpectralSymbol:
     if s is None:
         w, V = np.linalg.eigh(Q.matrix)
         if "eigenvalues" not in Q._cache:
-            _checked_spectrum(w, Q._tol)
+            _checked_spectrum(w, Q._cache["tol"])
         order = np.argsort(-w, kind="stable")
         w = np.clip(w[order], 0.0, 1.0)
         s = SpectralSymbol(eigenvalues=_frozen(w), eigenvectors=_frozen(V[:, order]))
@@ -253,7 +260,7 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
     """
     if Q1.dim != Q2.dim:
         raise DimensionMismatch(f"symbol dims differ: {Q1.dim} vs {Q2.dim}")
-    if not 0.0 < lam < 1.0:
+    if not _is_real(lam) or not 0.0 < lam < 1.0:
         raise InvalidArgument(f"mixture weight must lie in (0, 1), got {lam}")
     D = Q1.matrix - Q2.matrix
     scale = np.abs(D).max()
@@ -265,7 +272,7 @@ def mix_symbols(Q1: Symbol, Q2: Symbol, lam: float) -> Symbol:
                 f"symbol difference has numerical rank {rank}; "
                 "the convex combination of the two states is not quasi-free"
             )
-    return _trusted_symbol(lam * Q1.matrix + (1.0 - lam) * Q2.matrix)
+    return Symbol(lam * Q1.matrix + (1.0 - lam) * Q2.matrix)
 
 
 def _near_rank_one(D: np.ndarray, tol: float) -> bool:

@@ -162,10 +162,14 @@ def test_new_channel_rejects_non_hermitian_b():
     "call",
     [
         lambda: mix_symbols(validate_symbol(np.eye(1) / 2), validate_symbol(np.eye(1) / 2), 1.5),
+        lambda: mix_symbols(validate_symbol(np.eye(1) / 2), validate_symbol(np.eye(1) / 2), None),
+        lambda: mix_symbols(validate_symbol(np.eye(1) / 2), validate_symbol(np.eye(1) / 2), [0.5]),
         lambda: new_channel("delta", np.eye(2), np.zeros((2, 2))),
         lambda: classify_affine_map(AffineSymbolMap(2, False, np.eye(2), np.zeros((2, 2)))),
+        lambda: classify_affine_map(AffineSymbolMap(True, False, 0.5 * np.eye(2), np.zeros((2, 2)))),
     ],
-    ids=["mix-weight", "channel-kind", "affine-sign"],
+    ids=["mix-weight", "mix-weight-none", "mix-weight-list", "channel-kind", "affine-sign",
+         "affine-sign-bool"],
 )
 def test_invalid_arguments_are_typed(call):
     # a domain error, still catchable as the ValueError it used to be

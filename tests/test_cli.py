@@ -35,13 +35,16 @@ def write_matrix(path, M):
     return str(path)
 
 
+def matrix_json(M):
+    return json.loads(format_matrix_document(np.asarray(M, dtype=complex)))
+
+
+def channel_text(kind, A, B):
+    return json.dumps({"kind": kind, "A": matrix_json(A), "B": matrix_json(B)})
+
+
 def write_channel(path, kind, A, B):
-    doc = {
-        "kind": kind,
-        "A": json.loads(format_matrix_document(np.asarray(A, dtype=complex))),
-        "B": json.loads(format_matrix_document(np.asarray(B, dtype=complex))),
-    }
-    path.write_text(json.dumps(doc))
+    path.write_text(channel_text(kind, A, B))
     return str(path)
 
 
@@ -290,7 +293,35 @@ CLI_REFUSALS = {
     "dims x": (["bench", "--dims", "x"], None, 4,
                "error: --dims must be a comma-separated list of integers: x"),
     "dims 0": (["bench", "--dims", "0"], None, 4, "error: --dims entries must be positive"),
+    "channel without kind": (["choi", "{doc}"], json.dumps({"A": {}, "B": {}}), 2,
+                             "error: channel document missing field 'kind'"),
+    "spectrum 2x3": (["spectrum", "{doc}"], json.dumps(matrix_json(np.zeros((2, 3)))), 3,
+                     "error: expected a square X, got shape (2, 3)"),
+    "oracle-check d 7": (["oracle-check", "--d", "7"], None, 4,
+                         "error: dense Choi/Stinespring constructions refuse d=7: their tables "
+                         "live on 2d=14 modes, and they reach d=6"),
+    "oracle-check d 0": (["oracle-check", "--d", "0"], None, 4, "error: --d must be >= 1, got 0"),
 }
+# the library judges every operand, so each command that reads a channel or
+# a symbol refuses a bad one alike, with exit 3: (readers, document, line)
+CHANNEL_READERS = (["validate", "{doc}"], ["evolve", "{doc}", "{doc}"], ["jamiolkowski", "{doc}"],
+                   ["choi", "{doc}"])
+SYMBOL_READERS = (["validate", "{doc}"], ["entropy", "{doc}"], ["relent", "{doc}", "{doc}"])
+OPERAND_FAULTS = {
+    "channel 2x3 A": (CHANNEL_READERS, channel_text("lambda", np.zeros((2, 3)), np.zeros((2, 2))),
+                      "error: expected a square A, got shape (2, 3)"),
+    "channel A 2x2, B 3x3": (CHANNEL_READERS, channel_text("gamma", np.eye(2), np.eye(3)),
+                             "error: A and B shapes differ: (2, 2) vs (3, 3)"),
+    "channel kind delta": (CHANNEL_READERS, channel_text("delta", np.eye(2), np.eye(2)),
+                           "error: kind must be 'lambda' or 'gamma', got 'delta'"),
+    "symbol 2x3": (SYMBOL_READERS, json.dumps(matrix_json(np.zeros((2, 3)))),
+                   "error: expected a square matrix, got shape (2, 3)"),
+}
+CLI_REFUSALS.update(
+    (f"{case} {argv[0]}", (argv, text, 3, line))
+    for case, (readers, text, line) in OPERAND_FAULTS.items()
+    for argv in readers
+)
 
 
 @pytest.mark.parametrize("case", sorted(CLI_REFUSALS))
@@ -452,19 +483,23 @@ def test_oracle_check_cli(capsys):
 
 
 def test_oracle_check_refuses_beyond_a_lowered_cap_before_any_work(monkeypatch, capsys):
+    # the library's one cap is the CLI's reach: lowering it moves both
     monkeypatch.setattr(quasifree.choi, "DENSE_CHOI_CAP", 3)
-    monkeypatch.setattr(quasifree.cli, "DENSE_CHOI_CAP", 3)
     assert main(["oracle-check", "--d", "3", "--trials", "2"]) == 0
     assert "all checks passed" in capsys.readouterr().out
 
     def refuse(*args):
         raise AssertionError("oracle-check started work it cannot finish")
 
-    monkeypatch.setattr(quasifree.cli, "run_oracle_checks", refuse)
+    for draw in ("random_symbol", "random_channel"):
+        monkeypatch.setattr(quasifree.checks, draw, refuse)
     assert main(["oracle-check", "--d", "4"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: oracle-check requires 1 <= d <= 3, got 4\n"
+    assert captured.err == (
+        "error: dense Choi/Stinespring constructions refuse d=4: "
+        "their tables live on 2d=8 modes, and they reach d=3\n"
+    )
 
 
 def test_oracle_check_fails_on_a_nan_deviation(monkeypatch, capsys):
@@ -479,7 +514,10 @@ def test_the_dense_caps_read_no_environment(monkeypatch, capsys):
     monkeypatch.setenv("QUASIFREE_MAX_ORACLE_D", "3")
     assert number_operator(4).shape == (16, 16)
     assert main(["oracle-check", "--d", "7"]) == 4
-    assert capsys.readouterr().err == "error: oracle-check requires 1 <= d <= 6, got 7\n"
+    assert capsys.readouterr().err == (
+        "error: dense Choi/Stinespring constructions refuse d=7: "
+        "their tables live on 2d=14 modes, and they reach d=6\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [["oracle-check", "--d", "2"], ["bench", "--dims", "5"]])

@@ -49,7 +49,7 @@ def test_renyi_large_orders_stay_finite():
 
 def test_renyi_invalid_orders():
     Q = sym([0.5])
-    for p in (1.0, 0.0, -2.0, np.nan, np.inf, -np.inf):
+    for p in (1.0, 0.0, -2.0, np.nan, np.inf, -np.inf, None, [2]):
         with pytest.raises(InvalidOrder):
             renyi_entropy(Q, p)
 

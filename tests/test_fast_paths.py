@@ -257,7 +257,7 @@ def test_dense_interior_symbols_certify_beyond_the_frobenius_form(rng, monkeypat
     symbols = [random_symbol(1000, rng, 0.05, 0.95)]
     symbols += [validate_symbol(bench_matrix(d, rng)) for d in (1000, 2000)]
     assert calls == []
-    assert all(Q._tol == np.inf for Q in symbols)  # certified, kept as given
+    assert all(Q._cache["tol"] == np.inf for Q in symbols)  # certified, kept as given
 
 
 def test_collatz_wielandt_bound_on_a_fixed_factor():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import count_calls
@@ -8,6 +10,7 @@ from quasifree import (
     NotHermitian,
     NotQuasiFreeMixture,
     SpectrumOutOfRange,
+    apply_schrodinger,
     conjugate_matrix,
     density_matrix,
     exp_element,
@@ -16,7 +19,7 @@ from quasifree import (
     spectral,
     validate_symbol,
 )
-from quasifree.sampling import random_hermitian, random_symbol, random_unitary
+from quasifree.sampling import random_channel, random_hermitian, random_symbol, random_unitary
 from quasifree.symbols import HERMITIAN_TOL, MIX_RANK_TOL, _checked_spectrum, _operand
 
 
@@ -65,11 +68,44 @@ def test_complex_operand_passes_without_a_copy():
     assert _operand(M, "M") is M
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10, True])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-10, True, "x", None])
 def test_validate_rejects_bad_tolerance(tol):
     # with tol = NaN every range comparison would be False and diag(5, -3) pass
     with pytest.raises(InvalidArgument, match="tol"):
         validate_symbol(np.diag([5.0, -3.0]), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda rng: random_symbol(2.5, rng), lambda rng: random_symbol(-1, rng),
+     lambda rng: random_channel(True, rng, "lambda"), lambda rng: random_hermitian(0, rng),
+     lambda rng: random_unitary(np.float64(3.0), rng)],
+    ids=["float", "negative", "bool", "zero", "numpy-float"],
+)
+def test_samplers_refuse_a_dimension_that_is_no_count(draw):
+    # a typed error before any draw, not numpy's TypeError or ValueError
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionMismatch, match=r"^dimension must be an integer >= 1, got "):
+        draw(rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("producer", ["validated", "channel image"])
+def test_replace_starts_a_fresh_spectrum(producer):
+    # the spectrum cache and the tolerance are each instance's own: replace
+    # neither returns the source's spectrum nor inherits its proof
+    Q = validate_symbol(np.diag([0.25, 0.5]))
+    if producer == "channel image":
+        Q = apply_schrodinger(new_channel("lambda", np.eye(2), np.zeros((2, 2))), Q)
+    R = dataclasses.replace(Q, matrix=np.diag([5.0, -3.0]))
+    with pytest.raises(SpectrumOutOfRange):
+        R.eigenvalues
+    assert np.array_equal(Q.eigenvalues, [0.5, 0.25])
+    R = dataclasses.replace(Q, matrix=np.diag([0.9, 0.1]))
+    assert np.array_equal(R.eigenvalues, [0.9, 0.1])
+    assert np.array_equal(spectral(R).eigenvalues, [0.9, 0.1])
+    assert np.array_equal(Q.eigenvalues, [0.5, 0.25])
+    assert np.array_equal(spectral(Q).eigenvalues, [0.5, 0.25])
 
 
 @pytest.mark.parametrize(
