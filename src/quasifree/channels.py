@@ -35,7 +35,7 @@ from .errors import (
     ScaleOutOfRange,
     SingularPivot,
 )
-from .symbols import Symbol, _certified_psd, _frozen, _operand
+from .symbols import Symbol, _certified_psd, _frozen, _hermitian_part, _operand
 
 KIND_LAMBDA = "lambda"
 KIND_GAMMA = "gamma"
@@ -69,9 +69,8 @@ class QuasiFreeChannel:
     def __post_init__(self):
         _check_kind(self.kind)
         A, B = _square_pair(self.A, self.B)
+        B, herm_dev = _hermitian_part(B)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            herm_dev = np.abs(B - B.conj().T).max()
-            B = (B + B.conj().T) / 2.0
             slack = _cp_bound(self.kind, A) - B
             slack = (slack + slack.conj().T) / 2.0  # _certified_psd takes it exactly Hermitian
         if not herm_dev <= CP_TOL:
@@ -185,7 +184,7 @@ def checked_inverse(P: np.ndarray, singular: type, what: str):
     """(P^-1, det P) for the matrix P, named ``what``, whose determinant scales
     a closed form: ``singular`` is raised when cond_2(P) >= ``COND_MAX``, the
     one cap of every such form, and :class:`ScaleOutOfRange`, giving
-    log|det P|, when det P is not finite or underflows to 0.  Both name ``what``.
+    log|det P|, when |det P| is no normal double (inf, subnormal or 0).  Both name ``what``.
 
     One LU-based inverse screens the condition number: an LU breakdown (an
     exactly zero pivot) is the condition number inf, and as cond_2 <= d cond_1,
@@ -208,11 +207,12 @@ def checked_inverse(P: np.ndarray, singular: type, what: str):
             f"{what} condition number {cond:.3e} >= {COND_MAX:.1e}; the closed form does not apply"
         )
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        det = complex(np.linalg.det(P))
-    if not (np.isfinite(det) and det != 0):
+        det = np.linalg.det(P)
+        normal = np.finfo(float).tiny <= np.abs(det) < np.inf  # NaN fails
+    if not normal:
         logabsdet = np.linalg.slogdet(P)[1]
-        raise ScaleOutOfRange(f"det({what}) is outside double range: log|det| = {logabsdet:.6e}")
-    return Pinv, det
+        raise ScaleOutOfRange(f"det({what}) is no normal double: log|det| = {logabsdet:.6e}")
+    return Pinv, complex(det)
 
 
 def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> ScaledExponential:

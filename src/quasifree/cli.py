@@ -268,10 +268,10 @@ def _bench_pinned(dims, seed: int) -> int:
 
 def cmd_bench(args) -> int:
     try:
-        dims = [int(v) for v in args.dims.split(",") if v]
+        dims = [int(v) for v in args.dims.split(",")]  # an empty entry is no integer
     except ValueError:
         raise BadFlag(f"--dims must be a comma-separated list of integers: {args.dims}") from None
-    if not dims or any(v < 1 for v in dims):
+    if any(v < 1 for v in dims):
         raise BadFlag("--dims entries must be positive")
     if args.seed < 0:
         raise BadFlag(f"--seed must be >= 0, got {args.seed}")

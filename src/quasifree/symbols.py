@@ -37,23 +37,20 @@ class Symbol:
     without a copy: a hand-built ``Symbol(M)`` with a complex M freezes M in
     place.  ``eigenvalues`` (descending, clipped to [0, 1]) are computed on
     first read, range-checked at the init-only tolerance ``_tol`` and cached
-    per instance; ``_seed`` holds spectrum entries already computed.  So
-    symbols by theorem (channel images, Jamiolkowski blocks, convex mixtures)
-    skip the eigendecomposition.  A symbol that :func:`validate_symbol`
-    certified by Cholesky may have eigenvalues outside [0, 1] by dust within
-    ``min(tol, HERMITIAN_TOL)``; that range is proven, so its ``_tol`` is
-    infinite and the first read only clips.  ``dataclasses.replace`` starts
-    from an empty cache at ``HERMITIAN_TOL``.
+    per instance, so symbols by theorem (channel images, Jamiolkowski blocks,
+    convex mixtures) skip the eigendecomposition.  A symbol certified by
+    Cholesky has a proven range, dust within ``min(tol, HERMITIAN_TOL)``
+    included, so its ``_tol`` is infinite and the first read only clips.
+    ``dataclasses.replace`` starts from an empty cache at ``HERMITIAN_TOL``.
     """
 
     matrix: np.ndarray
     _tol: InitVar[float] = HERMITIAN_TOL
-    _seed: InitVar[dict | None] = None
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self, _tol, _seed):
+    def __post_init__(self, _tol):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
-        self._cache.update(_seed or (), tol=_tol)
+        self._cache["tol"] = _tol
 
     @property
     def dim(self) -> int:
@@ -62,11 +59,7 @@ class Symbol:
     @property
     def eigenvalues(self) -> np.ndarray:
         w = self._cache.get("eigenvalues")
-        if w is None:
-            w = _checked_spectrum(np.linalg.eigvalsh(self.matrix), self._cache["tol"])
-            w = _frozen(np.clip(w, 0.0, 1.0)[::-1].copy())
-            self._cache["eigenvalues"] = w
-        return w
+        return _read_spectrum(self, np.linalg.eigvalsh(self.matrix)) if w is None else w
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,14 +109,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _checked_spectrum(w: np.ndarray, tol: float) -> np.ndarray:
-    """Ascending eigenvalues ``w``, or :class:`SpectrumOutOfRange` when they
-    leave [0, 1] by more than ``tol``."""
-    if w.size and not (w[0] >= -tol and w[-1] <= 1.0 + tol):  # NaN refuses
-        raise SpectrumOutOfRange(
-            f"eigenvalues in [{w[0]:.6e}, {w[-1]:.6e}] leave [0, 1] beyond tol {tol:.1e}"
-        )
-    return w
+def _hermitian_part(M: np.ndarray):
+    """(H, dev) = ((M + M*)/2, max|M - M*|), the Hermitian gate of symbols and
+    channels; an overflow or NaN is left to each caller's refusal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (M + M.conj().T) / 2.0, np.abs(M - M.conj().T).max()
+
+
+def _read_spectrum(Q: Symbol, w: np.ndarray) -> np.ndarray:
+    """Q's spectrum, descending, clipped to [0, 1], read-only, from ascending
+    ``w``.  Only Q's first read range-checks ``w`` at Q's tolerance and caches
+    it, so ``Q.eigenvalues`` and ``spectral(Q).eigenvalues`` are one array."""
+    q = Q._cache.get("eigenvalues")
+    if q is None:
+        tol = Q._cache["tol"]
+        if w.size and not (w[0] >= -tol and w[-1] <= 1.0 + tol):  # NaN refuses
+            raise SpectrumOutOfRange(
+                f"eigenvalues in [{w[0]:.6e}, {w[-1]:.6e}] leave [0, 1] beyond tol {tol:.1e}"
+            )
+        q = Q._cache["eigenvalues"] = _frozen(np.clip(w, 0.0, 1.0)[::-1].copy())
+    return q
 
 
 def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
@@ -142,17 +147,14 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     ``min(tol, HERMITIAN_TOL)``, not at ``tol``: dust kept in the matrix then
     stays within what consumers with fixed tolerances accept (mixtures,
     channel images, the relative-entropy kernel test), and larger dust, even
-    within a larger ``tol``, is clamped.  Otherwise eigvalsh decides and words
-    the error, and violations within ``tol`` are treated as floating-point
-    dust and clamped away, through :func:`spectral`: the clamped matrix is
+    within a larger ``tol``, is clamped.  Otherwise the eigvalsh read decides,
+    words the error and is cached, and dust within ``tol`` is clamped through
+    :func:`spectral` (not range-judged again): the clamped matrix is
     V diag(clip w) V*, so that decomposition is its own and stays cached.
     """
     if not _is_real(tol) or not 0.0 <= tol < np.inf:
         raise InvalidArgument(f"tol must be finite and >= 0, got {tol}")
-    M = _operand(M, "matrix", nonempty=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        herm_dev = np.abs(M - M.conj().T).max()
-        H = (M + M.conj().T) / 2.0
+    H, herm_dev = _hermitian_part(_operand(M, "matrix", nonempty=True))
     if not herm_dev <= tol:
         raise NotHermitian(f"max |M - M*| = {herm_dev:.3e} exceeds tol {tol:.1e}")
     if not np.isfinite(H).all():
@@ -160,13 +162,15 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     kept = min(tol, HERMITIAN_TOL)
     if _certified_psd(H, kept) and _certified_psd(np.eye(H.shape[0]) - H, kept):
         return Symbol(H, np.inf)
-    w = _checked_spectrum(np.linalg.eigvalsh(H), tol)
+    Q, w = Symbol(H, tol), np.linalg.eigvalsh(H)
+    _read_spectrum(Q, w)
     if w[0] >= 0.0 and w[-1] <= 1.0:
-        return Symbol(H, _seed={"eigenvalues": _frozen(w[::-1].copy())})
-    s = spectral(Symbol(H, tol))
+        return Q
+    s = spectral(Symbol(H, np.inf))
     H = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
-    H = (H + H.conj().T) / 2.0
-    return Symbol(H, _seed={"eigenvalues": s.eigenvalues, "spectral": s})
+    Q = Symbol((H + H.conj().T) / 2.0)
+    Q._cache.update(eigenvalues=s.eigenvalues, spectral=s)
+    return Q
 
 
 def _spread_bounds(absL: np.ndarray):
@@ -214,22 +218,16 @@ def _certified_psd(H: np.ndarray, tol: float) -> bool:
 
 
 def spectral(Q: Symbol) -> SpectralSymbol:
-    """Eigendecomposition of a symbol with eigenvalues sorted descending.
-
-    The only place that computes eigenvectors of a symbol: every consumer
-    (relative entropy, the dense density matrix, the Stinespring environment,
-    the clamp in :func:`validate_symbol`) reads them here.  Computed once per
-    symbol and cached on it."""
+    """Eigendecomposition of a symbol, its eigenvalues descending as
+    :func:`_read_spectrum` reads them.  The only place that computes
+    eigenvectors of a symbol: every consumer (relative entropy, the dense
+    density matrix, the Stinespring environment, the clamp in
+    :func:`validate_symbol`) reads them here, once per symbol, cached on it."""
     s = Q._cache.get("spectral")
     if s is None:
         w, V = np.linalg.eigh(Q.matrix)
-        if "eigenvalues" not in Q._cache:
-            _checked_spectrum(w, Q._cache["tol"])
-        order = np.argsort(-w, kind="stable")
-        w = np.clip(w[order], 0.0, 1.0)
-        s = SpectralSymbol(eigenvalues=_frozen(w), eigenvectors=_frozen(V[:, order]))
-        Q._cache.setdefault("eigenvalues", s.eigenvalues)
-        Q._cache["spectral"] = s
+        order = np.argsort(-w, kind="stable")  # tied eigenvalues keep their columns' order
+        s = Q._cache["spectral"] = SpectralSymbol(_read_spectrum(Q, w), _frozen(V[:, order]))
     return s
 
 

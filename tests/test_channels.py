@@ -245,6 +245,13 @@ def test_heisenberg_scale_out_of_range_is_typed():
         apply_heisenberg_exp(c, X)
 
 
+def test_heisenberg_refuses_a_subnormal_scale():
+    # pivot = 1 - Q + Q B = B for Q = 1, whose determinant 1e-320 is subnormal
+    c = new_channel("lambda", 0.5 * np.eye(2), 1e-160 * np.eye(2))
+    with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {2 * np.log(1e-160):.6e}")):
+        apply_heisenberg_state(c, validate_symbol(np.eye(2)))
+
+
 def test_heisenberg_finite_scale_is_plain_det(rng):
     # a finite scale is det(pivot) bit for bit, pivot = S + (T - S) B
     c = random_channel(6, rng, "lambda")

@@ -157,6 +157,13 @@ def test_choi_form_scale_out_of_range_is_typed():
         choi_exponential_form(c)
 
 
+def test_choi_form_refuses_a_subnormal_scale():
+    # det B = 1e-310 is a subnormal double: it carries too few digits to scale a form
+    c = new_channel("lambda", np.zeros((2, 2)), 1e-155 * np.eye(2))
+    with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {2 * np.log(1e-155):.6e}")):
+        choi_exponential_form(c)
+
+
 def test_choi_form_matches_dense(rng):
     for kind in KINDS:
         for d in (1, 2, 3):
@@ -211,7 +218,7 @@ def test_dense_choi_is_the_full_product_by_charge_blocks(rng, kind):
         n = 2**d
         c = random_channel(d, rng, kind)
         C = dense_choi(c)
-        M = kraus_factor_reference(c).transpose(2, 0, 1, 3).reshape(n * n, n * n)
+        M = kraus_entries_reference(c).transpose(2, 0, 1, 3).reshape(n * n, n * n)
         full = M @ M.conj().T
         assert np.abs(C - full).max() < 1e-13 * max(1.0, np.abs(full).max())
         charge = row_charges(d, kind)
@@ -416,7 +423,7 @@ def test_environment_spectrum_matches_validated_reference(rng):
             assert np.all(np.diff(env.eigenvalues) <= 0.0)
 
 
-def lambda_kraus_factor_reference(c):
+def lambda_kraus_entries_reference(c):
     """K of lambda(At, B) as the dense construction builds it: E(V') on 2d
     modes scattered by the split permutation, index L scaled by sqrt(p_L)."""
     d, n = c.dim, 2**c.dim
@@ -432,10 +439,10 @@ def lambda_kraus_factor_reference(c):
     return K
 
 
-def kraus_factor_reference(c):
+def kraus_entries_reference(c):
     """K of the channel: for gamma, the lambda(At, B) factor after the signed
     reversal of index a."""
-    K = lambda_kraus_factor_reference(c)
+    K = lambda_kraus_entries_reference(c)
     if c.kind == "gamma":
         K = K[::-1] * _particle_hole_signs(c.dim)[::-1, None, None, None]
     return K
@@ -461,13 +468,13 @@ def test_kraus_factor_matches_the_dense_construction(rng, kind):
         entries = _kraus_entries(c)
         K = np.zeros(n**4, dtype=complex)
         K[kraus_offsets_reference(d)] = entries
-        K, ref = K.reshape(n, n, n, n), lambda_kraus_factor_reference(c)
+        K, ref = K.reshape(n, n, n, n), lambda_kraus_entries_reference(c)
         assert np.array_equal(K, ref)  # the reference's zeros may be -0.0
         nonzero = ref != 0
         assert np.array_equal(K[nonzero].view(np.uint64), ref[nonzero].view(np.uint64))
 
 
-def test_kraus_factor_pays_one_svd_and_one_eigh(rng, monkeypatch):
+def test_kraus_entries_pay_one_svd_and_one_eigh(rng, monkeypatch):
     calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -512,7 +519,7 @@ def test_oracle_rotation_is_split_conjugation(rng, kind):
         c = random_channel(d, rng, kind)
         G, rho_env = oracle_pieces_reference(c)
         G = G.reshape(n, n, n * n)
-        K = kraus_factor_reference(c).reshape(n, n, n * n)
+        K = kraus_entries_reference(c).reshape(n, n, n * n)
         lhs = np.einsum("alm,blm->abm", K, K.conj())
         rhs = np.einsum("st,atm,bsm->abm", rho_env, G, G.conj())
         assert np.abs(lhs - rhs).max() < 1e-14
@@ -542,7 +549,7 @@ def test_stinespring_contractions_match_kron_forms(rng, kind):
         assert np.abs(dense_choi(c) - choi.reshape(n * n, n * n)).max() < 1e-14
 
 
-def test_oracle_checks_build_one_kraus_factor_per_trial(monkeypatch):
+def test_oracle_checks_build_kraus_entries_once_per_trial(monkeypatch):
     builds, dense_dims = [], []
 
     def counted(channel):

@@ -293,6 +293,16 @@ CLI_REFUSALS = {
     "dims x": (["bench", "--dims", "x"], None, 4,
                "error: --dims must be a comma-separated list of integers: x"),
     "dims 0": (["bench", "--dims", "0"], None, 4, "error: --dims entries must be positive"),
+    "dims 3,,4": (["bench", "--dims", "3,,4"], None, 4,
+                  "error: --dims must be a comma-separated list of integers: 3,,4"),
+    "dims 100,": (["bench", "--dims", "100,"], None, 4,
+                  "error: --dims must be a comma-separated list of integers: 100,"),
+    "dims ,": (["bench", "--dims", ","], None, 4,
+               "error: --dims must be a comma-separated list of integers: ,"),
+    "choi subnormal det B": (["choi", "{doc}"],
+                             channel_text("lambda", np.zeros((2, 2)), 1e-155 * np.eye(2)), 3,
+                             "error: det(B) is no normal double: "
+                             f"log|det| = {2 * math.log(1e-155):.6e}"),
     "channel without kind": (["choi", "{doc}"], json.dumps({"A": {}, "B": {}}), 2,
                              "error: channel document missing field 'kind'"),
     "spectrum 2x3": (["spectrum", "{doc}"], json.dumps(matrix_json(np.zeros((2, 3)))), 3,

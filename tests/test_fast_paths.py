@@ -439,7 +439,7 @@ def test_relative_entropy_matches_triple_product(rng):
     assert abs(relative_entropy(Q1, Q2) - ref) < 1e-12
 
 
-def test_trusted_outputs_report_eigenvalues_in_unit_interval(rng):
+def test_symbols_by_theorem_report_eigenvalues_in_unit_interval(rng):
     d = 5
     for kind in KINDS:
         c = random_channel(d, rng, kind)
@@ -464,7 +464,7 @@ def test_trusted_outputs_report_eigenvalues_in_unit_interval(rng):
     assert np.allclose(w, [1.0, 1.0, 0.3, 0.0, 0.0], atol=1e-12)
 
 
-def test_trusted_symbol_is_lazy_cached_and_frozen(rng, monkeypatch):
+def test_symbols_by_theorem_are_lazy_cached_and_frozen(rng, monkeypatch):
     c = random_channel(4, rng, "lambda")
     Q = random_symbol(4, rng)
     calls = []

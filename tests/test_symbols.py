@@ -20,7 +20,7 @@ from quasifree import (
     validate_symbol,
 )
 from quasifree.sampling import random_channel, random_hermitian, random_symbol, random_unitary
-from quasifree.symbols import HERMITIAN_TOL, MIX_RANK_TOL, _checked_spectrum, _operand
+from quasifree.symbols import MIX_RANK_TOL, Symbol, _operand, _read_spectrum
 
 
 def test_validate_accepts_scalar_symbol():
@@ -127,7 +127,7 @@ def test_huge_finite_matrices_are_refused_without_a_warning():
 
 def test_a_nan_spectrum_is_out_of_range():
     with pytest.raises(SpectrumOutOfRange):
-        _checked_spectrum(np.array([np.nan, 0.5]), HERMITIAN_TOL)
+        _read_spectrum(Symbol(np.diag([0.5, 0.5])), np.array([np.nan, 0.5]))
 
 
 def test_validate_rejects_empty_matrix():
