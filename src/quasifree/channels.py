@@ -24,6 +24,7 @@ oracle-side call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,24 @@ class QuasiFreeChannel:
 
 @dataclass(frozen=True, eq=False)
 class ScaledExponential:
-    """The pair (scale, argument) representing scale * E(argument); the closed
-    form of Heisenberg channel outputs and of Choi matrices, each scaled by a
-    determinant.  Kept unexpanded on purpose."""
+    """scale * E(argument), a Heisenberg image or a Choi matrix kept unexpanded;
+    its determinant scale is kept as slogdet's (phase, log_abs_scale)."""
 
-    scale: complex
+    phase: complex
+    log_abs_scale: float
     argument: np.ndarray
+
+    @property
+    def scale(self) -> complex:
+        """phase * exp(log_abs_scale), numpy's det from slogdet, so np.linalg.det
+        bit for bit; :class:`ScaleOutOfRange` when that is no normal double."""
+        try:
+            modulus = math.exp(self.log_abs_scale)
+        except OverflowError:
+            modulus = math.inf
+        if not np.finfo(float).tiny <= modulus < math.inf:  # inf, subnormal, 0 or NaN
+            raise ScaleOutOfRange(f"det is no normal double: log|det| = {self.log_abs_scale:.6e}")
+        return self.phase * modulus
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,18 +194,17 @@ def apply_schrodinger(channel: QuasiFreeChannel, Q: Symbol) -> Symbol:
 
 
 def checked_inverse(P: np.ndarray, singular: type, what: str):
-    """(P^-1, det P) for the matrix P, named ``what``, whose determinant scales
-    a closed form: ``singular`` is raised when cond_2(P) >= ``COND_MAX``, the
-    one cap of every such form, and :class:`ScaleOutOfRange`, giving
-    log|det P|, when |det P| is no normal double (inf, subnormal or 0).  Both name ``what``.
+    """(P^-1, phase, log|det P|), det P as slogdet's pair, for the matrix P whose
+    determinant scales a closed form: ``singular``, naming P ``what``, is raised
+    when cond_2(P) >= ``COND_MAX``, the one cap of every such form.
 
     One LU-based inverse screens the condition number: an LU breakdown (an
     exactly zero pivot) is the condition number inf, and as cond_2 <= d cond_1,
     d ||P||_1 ||P^-1||_1 < COND_MAX / 2 accepts (the factor 2 absorbs the
     rounding of the computed inverse, whose relative error is about
     d u cond_1 << 1 below the limit).  Anything else goes to np.linalg.cond,
-    which decides.  det P takes a second LU, as numpy keeps no factorization
-    to reuse.
+    which decides.  slogdet takes a second LU, as numpy keeps no
+    factorization to reuse.
     """
     cond = np.inf  # an LU breakdown, refused outside the handler so no LinAlgError pins frames
     try:
@@ -206,13 +218,7 @@ def checked_inverse(P: np.ndarray, singular: type, what: str):
         raise singular(
             f"{what} condition number {cond:.3e} >= {COND_MAX:.1e}; the closed form does not apply"
         )
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        det = np.linalg.det(P)
-        normal = np.finfo(float).tiny <= np.abs(det) < np.inf  # NaN fails
-    if not normal:
-        logabsdet = np.linalg.slogdet(P)[1]
-        raise ScaleOutOfRange(f"det({what}) is no normal double: log|det| = {logabsdet:.6e}")
-    return Pinv, complex(det)
+    return (Pinv, *np.linalg.slogdet(P))
 
 
 def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> ScaledExponential:
@@ -226,11 +232,11 @@ def _heisenberg(channel: QuasiFreeChannel, S: np.ndarray, T: np.ndarray) -> Scal
         S, T = T.T, S.T
     D = T - S
     pivot = S + D @ B
-    inverse, scale = checked_inverse(pivot, SingularPivot, "pivot")
+    inverse, phase, logabsdet = checked_inverse(pivot, SingularPivot, "pivot")
     AD = A @ (inverse @ D)
     del inverse  # not kept through the last product, where it would raise the peak by d^2
     argument = np.eye(channel.dim) + AD @ A.conj().T
-    return ScaledExponential(scale=scale, argument=argument)
+    return ScaledExponential(complex(phase), float(logabsdet), argument)
 
 
 def apply_heisenberg_exp(channel: QuasiFreeChannel, X) -> ScaledExponential:

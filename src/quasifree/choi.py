@@ -79,10 +79,6 @@ class JamiolkowskiSymbol:
     symbol: Symbol
 
 
-#: the closed form det(B) * E(argument) of a Choi matrix, argument 2d x 2d
-ChoiExponentialForm = ScaledExponential
-
-
 def jamiolkowski_symbol(channel: QuasiFreeChannel) -> JamiolkowskiSymbol:
     """Block symbol of the Jamiolkowski state.
 
@@ -118,12 +114,12 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ScaledExponential:
     channel lambda(At, B) . theta^twisted; the twist changes the Choi matrix
     by a unitary on the output factor only, which the form leaves out.
     Raises :class:`SingularB` when cond(B) >= ``COND_MAX``, the one cap of
-    :func:`checked_inverse`, and :class:`ScaleOutOfRange` when det(B) leaves
-    double range; callers may fall back to :func:`dense_choi` at small d.
+    :func:`checked_inverse`; callers may fall back to :func:`dense_choi` at
+    small d.  Reading ``scale`` out of double range raises :class:`ScaleOutOfRange`.
     """
     A, B, _ = _as_lambda(channel)
     d = channel.dim
-    Binv, scale = checked_inverse(B, SingularB, "B")
+    Binv, phase, logabsdet = checked_inverse(B, SingularB, "B")
     Binv = (Binv + Binv.conj().T) / 2.0
     AB = A @ Binv
     argument = np.empty((2 * d, 2 * d), dtype=complex)
@@ -131,7 +127,7 @@ def choi_exponential_form(channel: QuasiFreeChannel) -> ScaledExponential:
     argument[:d, d:] = AB.conj().T  # B^-1 A*, as B^-1 is Hermitian
     argument[d:, :d] = AB
     argument[d:, d:] = AB @ A.conj().T + np.eye(d)
-    return ScaledExponential(scale=scale.real, argument=argument)
+    return ScaledExponential(float(phase.real), float(logabsdet), argument)
 
 
 def _check_dense_dim(d: int) -> None:

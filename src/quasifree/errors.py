@@ -61,9 +61,9 @@ class SingularB(QuasifreeError):
 
 
 class ScaleOutOfRange(QuasifreeError):
-    """The determinant scale of a closed form overflows or underflows double
-    precision although its matrix is well conditioned; the message gives
-    log|det|."""
+    """A scale is no normal double: a closed form's determinant, kept in log
+    form, when it is read (the message gives log|det|), or a dense
+    exponential element's entry."""
 
 
 class DimensionCap(QuasifreeError):

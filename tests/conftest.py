@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from quasifree.channels import _as_lambda, _twist_past
 from quasifree.checks import dense_relative, dense_renyi, dense_von_neumann  # noqa: F401
 
 
@@ -44,6 +45,16 @@ def count_calls(monkeypatch, names, owner=np.linalg) -> list:
             owner, name, lambda *a, _n=name, _f=original, **k: calls.append(_n) or _f(*a, **k)
         )
     return calls
+
+
+def heisenberg_pivot(channel, S, T):
+    """The pivot S + (T - S) B of the Heisenberg image of the pair (S, T),
+    built as the closed form builds it."""
+    A, B, twisted = _as_lambda(channel)
+    if twisted:
+        A, B = _twist_past(A, B)
+        S, T = T.T, S.T
+    return S + (T - S) @ B
 
 
 def random_density(n: int, rng: np.random.Generator) -> np.ndarray:

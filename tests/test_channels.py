@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import heisenberg_pivot
 
 from quasifree import (
     AffineSymbolMap,
@@ -15,6 +16,7 @@ from quasifree import (
     apply_heisenberg_exp,
     apply_heisenberg_state,
     apply_schrodinger,
+    choi_exponential_form,
     classify_affine_map,
     compose,
     density_matrix,
@@ -234,30 +236,55 @@ def test_heisenberg_exp_singular_pivot():
 
 
 def test_heisenberg_scale_out_of_range_is_typed():
-    # a well-conditioned pivot whose determinant overflows at d = 500
+    # a well-conditioned pivot whose determinant overflows at d = 500: the
+    # closed form keeps it as slogdet's pair, and reading the scale refuses
     rng = np.random.default_rng(0)
     c = random_channel(500, rng, "lambda")
     X = rng.standard_normal((500, 500)) + 1j * rng.standard_normal((500, 500))
-    pivot = np.eye(500) - c.B + X @ c.B
+    pivot = np.eye(500) + (X - np.eye(500)) @ c.B
     logabsdet = np.linalg.slogdet(pivot)[1]
     assert logabsdet > np.log(np.finfo(float).max)
+    image = apply_heisenberg_exp(c, X)
+    assert image.log_abs_scale == logabsdet
     with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {logabsdet:.6e}")):
-        apply_heisenberg_exp(c, X)
+        image.scale
 
 
 def test_heisenberg_refuses_a_subnormal_scale():
-    # pivot = 1 - Q + Q B = B for Q = 1, whose determinant 1e-320 is subnormal
+    # pivot = 1 - Q + Q B = B for Q = 1, whose determinant 1e-320 is subnormal:
+    # the log form holds it, and reading it as a double refuses
     c = new_channel("lambda", 0.5 * np.eye(2), 1e-160 * np.eye(2))
+    image = apply_heisenberg_state(c, validate_symbol(np.eye(2)))
+    assert image.log_abs_scale == np.linalg.slogdet(c.B)[1]
     with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {2 * np.log(1e-160):.6e}")):
-        apply_heisenberg_state(c, validate_symbol(np.eye(2)))
+        image.scale
+    with pytest.raises(ScaleOutOfRange, match=re.escape("log|det| = nan")):
+        dataclasses.replace(image, log_abs_scale=np.nan).scale
 
 
-def test_heisenberg_finite_scale_is_plain_det(rng):
-    # a finite scale is det(pivot) bit for bit, pivot = S + (T - S) B
-    c = random_channel(6, rng, "lambda")
-    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    eye = np.eye(6)
-    assert apply_heisenberg_exp(c, X).scale == complex(np.linalg.det(eye + (X - eye) @ c.B))
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3, 20, 100])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("form", ["exp", "state", "choi"])
+def test_heisenberg_finite_scale_is_plain_det(form, kind, d, rng):
+    # a normal scale is np.linalg.det bit for bit: of the pivot S + (T - S) B
+    # for the Heisenberg forms, of B (its real part) for the Choi form
+    c = random_channel(d, rng, kind)
+    eye = np.eye(d)
+    if form == "choi":
+        assert same_bits(choi_exponential_form(c).scale, np.linalg.det(c.B).real)
+        return
+    if form == "exp":
+        X = eye + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(d)
+        image, S, T = apply_heisenberg_exp(c, X), eye, X
+    else:
+        Q = random_symbol(d, rng, 0.05, 0.95)
+        image, S, T = apply_heisenberg_state(c, Q), eye - Q.matrix, Q.matrix
+    assert same_bits(image.scale, np.linalg.det(heisenberg_pivot(c, S, T)))
 
 
 def test_heisenberg_duality_dense(rng):

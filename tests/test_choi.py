@@ -150,18 +150,24 @@ def test_choi_form_singular_b():
 
 
 def test_choi_form_scale_out_of_range_is_typed():
-    # B = 0.01 * 1 is perfectly conditioned, but det B = 1e-400 underflows
+    # B = 0.01 * 1 is perfectly conditioned, but det B = 1e-400 underflows: the
+    # form keeps log|det B|, and reading the scale as a double refuses
     d = 200
     c = new_channel("lambda", np.zeros((d, d)), 0.01 * np.eye(d))
+    form = choi_exponential_form(c)
+    assert form.log_abs_scale == np.linalg.slogdet(c.B)[1]
     with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {d * np.log(0.01):.6e}")):
-        choi_exponential_form(c)
+        form.scale
 
 
 def test_choi_form_refuses_a_subnormal_scale():
-    # det B = 1e-310 is a subnormal double: it carries too few digits to scale a form
+    # det B = 1e-310 is a subnormal double: it carries too few digits to scale
+    # a form, so the log form holds it and reading the scale refuses
     c = new_channel("lambda", np.zeros((2, 2)), 1e-155 * np.eye(2))
+    form = choi_exponential_form(c)
+    assert form.log_abs_scale == np.linalg.slogdet(c.B)[1]
     with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {2 * np.log(1e-155):.6e}")):
-        choi_exponential_form(c)
+        form.scale
 
 
 def test_choi_form_matches_dense(rng):
@@ -635,7 +641,7 @@ def test_every_suite_row_is_a_deviation_its_first_trial_reports():
 
 
 def _nan_scale(c, X):
-    return dataclasses.replace(quasifree.channels.apply_heisenberg_exp(c, X), scale=np.nan)
+    return dataclasses.replace(quasifree.channels.apply_heisenberg_exp(c, X), phase=np.nan)
 
 
 @pytest.mark.parametrize(

@@ -301,7 +301,7 @@ CLI_REFUSALS = {
                "error: --dims must be a comma-separated list of integers: ,"),
     "choi subnormal det B": (["choi", "{doc}"],
                              channel_text("lambda", np.zeros((2, 2)), 1e-155 * np.eye(2)), 3,
-                             "error: det(B) is no normal double: "
+                             "error: det is no normal double: "
                              f"log|det| = {2 * math.log(1e-155):.6e}"),
     "channel without kind": (["choi", "{doc}"], json.dumps({"A": {}, "B": {}}), 2,
                              "error: channel document missing field 'kind'"),

@@ -415,6 +415,20 @@ def test_well_conditioned_pivot_skips_svd(rng, monkeypatch):
     choi_exponential_form(c)
 
 
+def test_closed_forms_pay_one_inverse_and_one_slogdet(rng, monkeypatch):
+    # the scale is slogdet's pair alone: det is never paid, not even to refuse
+    calls = count_calls(monkeypatch, ("inv", "slogdet", "det"))
+    for kind in KINDS:
+        c = random_channel(5, rng, kind)
+        X = 0.3 * random_unitary(5, rng)
+        Q = random_symbol(5, rng, 0.1, 0.9)
+        for form in (lambda: apply_heisenberg_exp(c, X), lambda: apply_heisenberg_state(c, Q),
+                     lambda: choi_exponential_form(c)):
+            calls.clear()
+            form()
+            assert calls == ["inv", "slogdet"]
+
+
 def old_relative_entropy(Q1, Q2):
     """The triple-product formula the symbol calculus used before, on an
     interior spectrum (no kernel branches)."""
