@@ -106,7 +106,8 @@ class ScaledExponential:
     @property
     def scale(self) -> complex:
         """phase * exp(log_abs_scale), numpy's det from slogdet, so np.linalg.det
-        bit for bit; :class:`ScaleOutOfRange` when that is no normal double."""
+        bit for bit; :class:`ScaleOutOfRange` when the modulus is no normal
+        double.  A part below ``tiny`` is the phase's rounding times the modulus."""
         try:
             modulus = math.exp(self.log_abs_scale)
         except OverflowError:

@@ -23,8 +23,6 @@ HERMITIAN_TOL = 1e-10
 #: singular values below this (relative to the max-entry norm) count as zero
 #: when deciding whether a symbol difference has rank <= 1
 MIX_RANK_TOL = 1e-9
-#: power steps of the Collatz-Wielandt bound in the Cholesky certificate
-CW_STEPS = 4
 _U = np.finfo(float).eps / 2.0  # unit roundoff
 
 
@@ -140,15 +138,15 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     raises :class:`InvalidArgument`.
 
     The range 0 <= H <= 1 of the Hermitian part H is first tried at every d
-    by two Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H:
-    a Frobenius bound, then a Collatz-Wielandt bound, within ||L||_1 ||L||_inf
-    at step 0 up to a rounding factor 1 + O(d u)).  Certified matrices are
-    kept as given (see :class:`Symbol`).  The certificates run at
-    ``min(tol, HERMITIAN_TOL)``, not at ``tol``: dust kept in the matrix then
-    stays within what consumers with fixed tolerances accept (mixtures,
-    channel images, the relative-entropy kernel test), and larger dust, even
-    within a larger ``tol``, is clamped.  Otherwise the eigvalsh read decides,
-    words the error and is cached, and dust within ``tol`` is clamped through
+    by two Cholesky certificates (:func:`_certified_psd`, on H and on 1 - H,
+    each with one bound, max_i (|L|^T |L| 1)_i <= ||L||_1 ||L||_inf, up to a
+    rounding factor 1 + O(d u)).  Certified matrices are kept as given (see
+    :class:`Symbol`).  The certificates run at ``min(tol, HERMITIAN_TOL)``,
+    not at ``tol``: dust kept in the matrix then stays within what consumers
+    with fixed tolerances accept (mixtures, channel images, the
+    relative-entropy kernel test), and larger dust, even within a larger
+    ``tol``, is clamped.  Otherwise the eigvalsh read decides, words the
+    error and is cached, and dust within ``tol`` is clamped through
     :func:`spectral` (not range-judged again): the clamped matrix is
     V diag(clip w) V*, so that decomposition is its own and stays cached.
     """
@@ -173,36 +171,24 @@ def validate_symbol(M, tol: float = HERMITIAN_TOL) -> Symbol:
     return Q
 
 
-def _spread_bounds(absL: np.ndarray):
-    """The bounds of :func:`_certified_psd` on ||absL||_2^2: ||absL||_F^2,
-    then the Collatz-Wielandt bounds, which do not increase."""
-    yield float(np.vdot(absL, absL).real)
+def _gram_bound(absL: np.ndarray) -> float:
+    """|| absL ||_2^2 = rho(N) <= ||N||_inf = max_i (N 1)_i for N = absL^T absL
+    >= 0.  N 1 sums nonnegative terms, so the computed maximum divided by
+    1 - gamma_{2n+5} covers the rounding of the sums (2n) and of the moduli
+    |L_ij| in absL (4), with one to spare."""
     grow = 1.0 + 2.0 * (2 * absL.shape[0] + 5) * _U  # >= 1 / (1 - gamma_{2n+5})
-    v = np.ones(absL.shape[0])
-    for _ in range(CW_STEPS + 1):
-        w = absL.T @ (absL @ v)
-        yield grow * float((w / v).max())
-        if not w.min() > 0.0:  # underflow: the next ratio has no meaning
-            return
-        v = w / w.max()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, certifying nothing
+        return grow * float((absL.T @ (absL @ np.ones(absL.shape[0]))).max())
 
 
 def _certified_psd(H: np.ndarray, tol: float) -> bool:
     """True only when lambda_min(H) >= -tol holds exactly for the exactly
     Hermitian H; False means "not certified", and the caller's eigenvalue
-    test decides.
-
-    A Cholesky factorization H + (tol/2) 1 = LL* that runs to completion has
-    a backward error |E| <= c |L||L*|, c = sqrt(2) gamma_{n+3} (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.3 and sec. 3.6),
-    so lambda_min(H) >= -tol once c || |L| ||_2^2 <= tol/2.  The first bound
-    is ||L||_F^2, enough at tol = 1e-10 up to d ~ 560 for any 0 <= H <= 1.
-    Then || |L| ||_2^2 = rho(N) for N = |L|^T |L| is at most max_i (Nv)_i /
-    v_i for every v > 0 (Collatz, Math. Z. 48, 221 (1942); Wielandt, Math.
-    Z. 52, 642 (1950)): at most ||L||_1 ||L||_inf at v = 1, and no higher
-    after each of ``CW_STEPS`` power steps v <- Nv.  Nv sums nonnegative
-    terms, so the computed maximum divided by 1 - gamma_{2n+5} covers the
-    rounding of the sums (2n), the ratio (1) and the moduli |L_ij| (4).
+    test decides.  A Cholesky factorization H + (tol/2) 1 = LL* that runs to
+    completion has a backward error |E| <= c |L||L*|, c = sqrt(2) gamma_{n+3}
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3 and
+    sec. 3.6), so lambda_min(H) >= -tol once c || |L| ||_2^2 <= tol/2; the
+    certificate reads || |L| ||_2^2 as :func:`_gram_bound`, its one bound.
     """
     n = H.shape[0]
     half = tol / 2.0
@@ -213,8 +199,7 @@ def _certified_psd(H: np.ndarray, tol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     c = np.sqrt(2.0) * (n + 3) * _U / (1.0 - (n + 3) * _U)  # sqrt(2) gamma_{n+3}
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound certifies nothing
-        return any(c * bound <= half for bound in _spread_bounds(absL))
+    return c * _gram_bound(absL) <= half
 
 
 def spectral(Q: Symbol) -> SpectralSymbol:

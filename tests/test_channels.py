@@ -11,6 +11,7 @@ from quasifree import (
     InvalidArgument,
     NotCompletelyPositive,
     QuasiFreeChannel,
+    ScaledExponential,
     ScaleOutOfRange,
     SingularPivot,
     apply_heisenberg_exp,
@@ -260,6 +261,17 @@ def test_heisenberg_refuses_a_subnormal_scale():
         image.scale
     with pytest.raises(ScaleOutOfRange, match=re.escape("log|det| = nan")):
         dataclasses.replace(image, log_abs_scale=np.nan).scale
+
+
+def test_scale_judges_only_its_modulus():
+    # a normal modulus whose phase carries rounding, 7.3e-17 off the real axis:
+    # the imaginary part, that rounding times the modulus, is subnormal and is
+    # kept as numpy's det from slogdet gives it; a modulus below tiny refuses
+    image = ScaledExponential(1.0000000000000002 + 7.3e-17j, -702.69, np.eye(1))
+    assert image.scale == 6.69284105692099e-306 + 4.9e-322j
+    assert abs(image.scale.imag) < np.finfo(float).tiny <= abs(image.scale)
+    with pytest.raises(ScaleOutOfRange, match=re.escape(f"log|det| = {-709.0:.6e}")):
+        dataclasses.replace(image, log_abs_scale=-709.0).scale
 
 
 def same_bits(x, y):

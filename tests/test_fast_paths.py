@@ -38,7 +38,7 @@ from quasifree import (
 )
 from quasifree.channels import COND_MAX, CP_TOL, cp_bound
 from quasifree.sampling import random_channel, random_symbol, random_unitary
-from quasifree.symbols import CW_STEPS, HERMITIAN_TOL, _certified_psd, _spread_bounds
+from quasifree.symbols import HERMITIAN_TOL, _certified_psd, _gram_bound
 
 KINDS = ("lambda", "gamma")
 CONDS = (0.5e12, 0.99e12, 1.01e12, 2e12)
@@ -252,26 +252,43 @@ def bench_matrix(d, rng):
 
 
 def test_dense_interior_symbols_certify_beyond_the_frobenius_form(rng, monkeypatch):
-    # ||L||_F^2 is too large from d ~ 800 on; the Collatz-Wielandt bound decides
+    # ||L||_F^2 would be too large from d ~ 800 on; the row-sum bound certifies,
+    # for symbols and for both CP inequalities of a channel
     calls = count_calls(monkeypatch, ("eigh", "eigvalsh"))
     symbols = [random_symbol(1000, rng, 0.05, 0.95)]
     symbols += [validate_symbol(bench_matrix(d, rng)) for d in (1000, 2000)]
+    channels = [random_channel(1000, rng, kind) for kind in KINDS]  # each a new_channel
     assert calls == []
     assert all(Q._cache["tol"] == np.inf for Q in symbols)  # certified, kept as given
+    assert [c.kind for c in channels] == list(KINDS)
 
 
-def test_collatz_wielandt_bound_on_a_fixed_factor():
+def test_gram_bound_on_a_fixed_factor():
     absL = np.array([[1.0, 0.0], [3.0, 1.0]])
-    frobenius, *cw = _spread_bounds(absL)
+    grow = 1.0 + 2.0 * (2 * 2 + 5) * (np.finfo(float).eps / 2.0)  # as in _gram_bound
     rho = (11.0 + np.sqrt(117.0)) / 2.0  # spectral radius of |L|^T |L| = [[10, 3], [3, 1]]
-    assert frobenius == 11.0 and len(cw) == CW_STEPS + 1
-    assert cw[0] == pytest.approx(13.0, rel=1e-14)  # ||L||_1 ||L||_inf, above ||L||_F^2
-    assert cw[1] == pytest.approx(142.0 / 13.0, rel=1e-14)
-    assert all(b >= rho for b in cw) and cw[-1] < rho * (1.0 + 1e-6)
-    assert all(a >= b for a, b in zip(cw, cw[1:]))
-    # a pivot whose square underflows ends the power steps before a 0 / 0
-    assert len(list(_spread_bounds(np.diag([1e-160, 0.5])))) < CW_STEPS + 2
+    assert _gram_bound(absL) == 13.0 * grow > rho  # 13: the largest row sum of N
+    # a pivot whose square underflows: tol 0 certifies nothing, eigvalsh decides
     assert validate_symbol(np.diag([1e-320, 0.5]), tol=0.0).eigenvalues[1] == 1e-320
+
+
+ENTRY = st.one_of(st.just(0.0), st.floats(1e-150, 1e150))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(d=st.integers(1, 12), data=st.data())
+def test_gram_bound_is_at_least_the_spectral_radius(d, data):
+    """_gram_bound(absL) >= rho(N), N = absL^T absL, checked against the
+    computed eigvalsh(N)[-1], which can exceed rho(N) by rounding alone: the
+    product N of nonnegative terms is within gamma_d ~ d u of the exact one
+    entrywise, so its spectral radius within d u relatively, and eigvalsh is
+    backward stable, off by a small multiple of u ||N||_2.  So the check allows
+    a relative margin of 10 d u on top of the bound."""
+    n = d * (d + 1) // 2
+    absL = np.zeros((d, d))
+    absL[np.tril_indices(d)] = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
+    top = float(np.linalg.eigvalsh(absL.T @ absL)[-1])
+    assert top <= _gram_bound(absL) * (1.0 + 10.0 * d * np.finfo(float).eps / 2.0)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -282,8 +299,8 @@ def test_collatz_wielandt_bound_on_a_fixed_factor():
     fraction=st.sampled_from([None, 0.2, 0.5, 0.8]),
 )
 def test_certificate_is_sound(d, seed, scale, fraction):
-    # lambda_min = scale * tol; a fraction sets tol below the Frobenius form
-    # (c tr H > tol/2), so that the Collatz-Wielandt bound decides
+    # lambda_min = scale * tol; a fraction sets tol/2 below c tr H, about
+    # c ||L||_F^2, so that the certificate works near its rounding floor
     rng = np.random.default_rng(seed)
     rest = rng.uniform(0.5, 1.0, d - 1)
     c = np.sqrt(2.0) * (d + 3) * np.finfo(float).eps / 2.0  # as in _certified_psd

@@ -16,6 +16,10 @@ The entropies are judged on two more identities: the data processing
 inequality relent(c(Q1), c(Q2)) <= relent(Q1, Q2) (Lindblad 1975; Uhlmann
 1977), and invariance under the particle-hole twist Q -> 1 - Q^T, which maps
 quasi-free states to quasi-free states by a unitary.
+
+Composition is judged against applying the two channels in turn, and complete
+positivity a second time through the Choi form: for B > 0 the Choi matrix is
+det B E(argument), positive exactly when the argument is.
 """
 
 import numpy as np
@@ -23,11 +27,13 @@ import pytest
 from conftest import heisenberg_pivot
 
 from quasifree import (
+    NotCompletelyPositive,
     ScaleOutOfRange,
     apply_heisenberg_exp,
     apply_heisenberg_state,
     apply_schrodinger,
     choi_exponential_form,
+    compose,
     new_channel,
     relative_entropy,
     validate_symbol,
@@ -110,6 +116,64 @@ def test_choi_trace_beyond_double_range(kind):
     assert_same_log_det(form, trace, (1.0, d * np.log(2.0)), kappa, d)
     with pytest.raises(ScaleOutOfRange):
         form.scale
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("kind2", KINDS)
+@pytest.mark.parametrize("kind1", KINDS)
+def test_composition_acts_as_the_sequence(kind1, kind2, d):
+    """apply_schrodinger(compose(c2, c1), Q) equals c2's image of c1's image
+    entrywise within 10 d u max(1, max|image|): each side is a few products
+    of d x d matrices of norm at most 1, and each product rounds by about d u."""
+    rng = np.random.default_rng(d + 5)
+    c1, c2 = random_channel(d, rng, kind1), random_channel(d, rng, kind2)
+    Q = random_symbol(d, rng, 0.05, 0.95)
+    image = apply_schrodinger(c2, apply_schrodinger(c1, Q)).matrix
+    tol = 10 * d * U * max(1.0, np.abs(image).max())
+    assert np.abs(apply_schrodinger(compose(c2, c1), Q).matrix - image).max() <= tol
+
+
+def lowest_and_norm(argument):
+    """(lambda_min, ||argument||_2) of the Hermitian part of a Choi argument."""
+    w = np.linalg.eigvalsh((argument + argument.conj().T) / 2.0)
+    return w[0], np.abs(w).max()
+
+
+@pytest.mark.parametrize("d", (20, *DIMS))
+@pytest.mark.parametrize("kind", KINDS)
+def test_choi_argument_of_a_channel_is_positive(kind, d):
+    """lambda_min(argument) >= -10 d u kappa_1(B) ||argument||_2: the argument
+    holds B^-1, which carries B's condition number into its rounding."""
+    c = random_channel(d, np.random.default_rng(d + 6), kind)
+    low, norm = lowest_and_norm(choi_exponential_form(c).argument)
+    assert low >= -10 * d * U * np.linalg.cond(c.B, 1) * norm
+
+
+@pytest.mark.parametrize("d", (4, 20))
+@pytest.mark.parametrize("kind", KINDS)
+def test_choi_positivity_judges_cp_as_the_constructor(kind, d):
+    """A = 1/2, B = t (1 - A*A): the block argument [[B^-1 - 1, B^-1 A*],
+    [A B^-1, 1 + A B^-1 A*]] is positive for t < 1, singular at t = 1 within
+    10 d u kappa_1(B) ||argument||_2 (kappa_1(B) = 1) and indefinite for t > 1,
+    where the constructor refuses; where a channel exists, the block
+    argument is the Choi form's within the same tolerance."""
+    eye = np.eye(d)
+    A = 0.5 * eye
+    for t in (0.9, 1.0, 1.1):
+        B = t * (eye - A.conj().T @ A)
+        Binv = np.linalg.inv(B)
+        BA, AB = Binv @ A.conj().T, A @ Binv
+        argument = np.block([[Binv - eye, BA], [AB, eye + AB @ A.conj().T]])
+        low, norm = lowest_and_norm(argument)
+        tol = 10 * d * U * norm
+        if t > 1.0:
+            assert low < -tol
+            with pytest.raises(NotCompletelyPositive):
+                new_channel(kind, A, B)
+            continue
+        assert low > tol if t < 1.0 else abs(low) <= tol
+        form = choi_exponential_form(new_channel(kind, A, B))
+        assert np.abs(form.argument - argument).max() <= tol
 
 
 def entropy_tol(d, value, *symbols):
